@@ -26,7 +26,7 @@ use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{ClientId, KeyHash, MasterId, RpcId, WitnessListVersion};
 use curp_proto::wire::{Decode, Encode};
 use curp_sim::{run_sim, to_virtual_ns, Mode, RamcloudParams, SimCluster};
-use curp_storage::{Aof, FsyncPolicy, ShardedStore, StateStore, Store, TierConfig, TieredStore};
+use curp_storage::{Aof, FsyncPolicy, ShardedStore, StateStore, TempDir, TierConfig, TieredStore};
 use curp_witness::{CacheConfig, WitnessCache, WitnessService};
 
 fn request(seq: u64, key: u64) -> RecordedRequest {
@@ -85,7 +85,7 @@ fn bench_witness(c: &mut Criterion) {
 
 fn bench_store(c: &mut Criterion) {
     c.bench_function("store_put_100b", |b| {
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         let value = Bytes::from(vec![0u8; 100]);
         let mut i = 0u64;
         b.iter(|| {
@@ -103,7 +103,7 @@ fn bench_store(c: &mut Criterion) {
     let fields: Vec<Bytes> = (0..1000u32).map(|i| Bytes::from(format!("field-{i}"))).collect();
     let value = Bytes::from(vec![0u8; 32]);
     c.bench_function("store_hset_1k_fields", |b| {
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         let key = Bytes::from_static(b"hash-object");
         for f in &fields {
             store.execute(&Op::HSet { key: key.clone(), field: f.clone(), value: value.clone() });
@@ -135,16 +135,18 @@ fn bench_store(c: &mut Criterion) {
         // The list is reset to 1 000 elements every 1 000 pushes so the
         // measured size stays bounded (1k–2k) no matter how many iterations
         // the harness runs; the amortized reset cost is a few ns/iter.
-        let mut base = Store::new();
+        let seed: ShardedStore = ShardedStore::new(1);
         let key = Bytes::from_static(b"list-object");
         for _ in 0..1000 {
-            base.execute(&Op::ListPush { key: key.clone(), value: value.clone() });
+            seed.execute(&Op::ListPush { key: key.clone(), value: value.clone() });
         }
-        let mut store = base.clone();
+        let (objects, dead) = seed.export();
+        let reset = || -> ShardedStore { ShardedStore::import(1, objects.clone(), dead.clone()) };
+        let mut store = reset();
         let mut pushes = 0u32;
         b.iter(|| {
             if pushes == 1000 {
-                store = base.clone();
+                store = reset();
                 pushes = 0;
             }
             pushes += 1;
@@ -152,7 +154,7 @@ fn bench_store(c: &mut Criterion) {
         });
     });
     c.bench_function("store_set_add_1k_members", |b| {
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         let key = Bytes::from_static(b"set-object");
         for f in &fields {
             store.execute(&Op::SetAdd { key: key.clone(), member: f.clone() });
@@ -163,7 +165,7 @@ fn bench_store(c: &mut Criterion) {
         b.iter(|| store.execute(&Op::SetAdd { key: key.clone(), member: member.clone() }));
     });
     c.bench_function("store_unsynced_check", |b| {
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         for i in 0..100_000u64 {
             store.execute(&Op::Put {
                 key: Bytes::from(i.to_le_bytes().to_vec()),
@@ -329,9 +331,8 @@ fn bench_contention(c: &mut Criterion) {
 fn aof_round_time(iters: u64, policy: FsyncPolicy) -> Duration {
     const CAP: u64 = 64;
     let rounds = iters.clamp(1, CAP);
-    let path =
-        std::env::temp_dir().join(format!("curp-bench-aof-{}-{policy:?}", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("curp-bench-aof").expect("bench aof root");
+    let path = dir.path().join("log.aof");
     let batch: Vec<LogEntry> = (0..50u64)
         .map(|i| LogEntry {
             seq: i,
@@ -351,7 +352,6 @@ fn aof_round_time(iters: u64, policy: FsyncPolicy) -> Duration {
     }
     let elapsed = t0.elapsed();
     drop(aof);
-    let _ = std::fs::remove_file(&path);
     if rounds == iters {
         elapsed
     } else {
@@ -386,10 +386,8 @@ fn bench_aof(c: &mut Criterion) {
 
 fn tiered_put_miss_time(iters: u64) -> Duration {
     const KEYS: u64 = 1024;
-    let dir = std::env::temp_dir().join(format!("curp-bench-tier-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("bench tier root");
-    let mut cfg = TierConfig::new(&dir);
+    let dir = TempDir::new("curp-bench-tier").expect("bench tier root");
+    let mut cfg = TierConfig::new(dir.path());
     cfg.memtable_budget = 1; // every maintain evicts all synced state
     cfg.fsync = false;
     let store: TieredStore = TieredStore::over(ShardedStore::new(4), cfg).expect("tiered store");
@@ -417,7 +415,6 @@ fn tiered_put_miss_time(iters: u64) -> Duration {
     }
     let elapsed = t0.elapsed();
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
     elapsed
 }
 
@@ -426,13 +423,11 @@ fn tiered_put_miss_time(iters: u64) -> Duration {
 fn run_merge_time(iters: u64) -> Duration {
     const CAP: u64 = 32;
     let rounds = iters.clamp(1, CAP);
-    let dir = std::env::temp_dir().join(format!("curp-bench-merge-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("bench merge root");
+    let dir = TempDir::new("curp-bench-merge").expect("bench merge root");
     let value = Bytes::from(vec![b'x'; 100]);
     let mut total = Duration::ZERO;
     for _ in 0..rounds {
-        let mut cfg = TierConfig::new(&dir);
+        let mut cfg = TierConfig::new(dir.path());
         cfg.memtable_budget = 1;
         cfg.merge_threshold = 3; // 4 runs trip the merge
         cfg.fsync = true;
@@ -457,7 +452,6 @@ fn run_merge_time(iters: u64) -> Duration {
         total += t0.elapsed();
         assert_eq!(store.run_count(), 1, "merge must have collapsed the runs");
     }
-    let _ = std::fs::remove_dir_all(&dir);
     if rounds == iters {
         total
     } else {
@@ -471,10 +465,8 @@ fn run_merge_time(iters: u64) -> Duration {
 fn aof_rewrite_time(iters: u64) -> Duration {
     const CAP: u64 = 32;
     let rounds = iters.clamp(1, CAP);
-    let dir = std::env::temp_dir().join(format!("curp-bench-rewrite-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("bench rewrite root");
-    let path = dir.join("log.aof");
+    let dir = TempDir::new("curp-bench-rewrite").expect("bench rewrite root");
+    let path = dir.path().join("log.aof");
     let entry = |seq: u64| LogEntry {
         seq,
         rpc_id: Some(RpcId::new(ClientId(1), seq + 1)),
@@ -497,7 +489,6 @@ fn aof_rewrite_time(iters: u64) -> Duration {
         drop(Aof::rewrite(&path, &suffix, FsyncPolicy::Manual).expect("rewrite"));
         total += t0.elapsed();
     }
-    let _ = std::fs::remove_dir_all(&dir);
     if rounds == iters {
         total
     } else {

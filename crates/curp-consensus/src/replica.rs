@@ -31,7 +31,7 @@ use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{RpcId, ServerId};
 use curp_proto::wire::Decode;
 use curp_rifl::{CheckResult, RiflTable};
-use curp_storage::Store;
+use curp_storage::ShardedStore;
 use curp_transport::rpc::{BoxFuture, RpcClient, RpcHandler};
 use curp_witness::cache::{CacheConfig, RecordOutcome, WitnessCache};
 use parking_lot::Mutex;
@@ -85,7 +85,7 @@ struct St {
     commit: u64,
     /// Entries applied to `store` (leader: == log.len(); follower: == commit).
     applied: u64,
-    store: Store,
+    store: ShardedStore,
     /// Store log-head after applying entry `i+1` (leader only; tracks the
     /// synced frontier for the commutativity check).
     exec_heads: Vec<u64>,
@@ -138,7 +138,7 @@ impl Replica {
                     log: Vec::new(),
                     commit: 0,
                     applied: 0,
-                    store: Store::new(),
+                    store: ShardedStore::new(1),
                     exec_heads: Vec::new(),
                     rifl: RiflTable::new(),
                     witness: WitnessCache::new(cfg.witness),
@@ -375,7 +375,7 @@ impl Replica {
 
     /// Resets store/rifl to exactly the committed prefix of the log.
     fn rebuild_committed(st: &mut St) {
-        let mut store = Store::new();
+        let store = ShardedStore::new(1);
         let mut rifl = RiflTable::new();
         let mut exec_heads = Vec::with_capacity(st.commit as usize);
         for e in st.log.iter().take(st.commit as usize) {
@@ -657,7 +657,7 @@ impl Replica {
             }
             ConsensusRpc::Read { op } => loop {
                 let wait_index = {
-                    let mut st = self.st.lock();
+                    let st = self.st.lock();
                     if st.role != Role::Leader {
                         return ConsensusReply::NotLeader { hint: st.leader_hint };
                     }

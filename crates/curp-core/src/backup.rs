@@ -32,7 +32,8 @@
 //! tick: it checkpoints **one** shard of its store (round-robin) to a
 //! sidecar file `master-N.ckptS`, then — once every shard's checkpoint
 //! has advanced past the log's oldest entry — rewrites the AOF keeping
-//! only the uncovered suffix ([`Aof::rewrite`], crash-safe tmp + rename).
+//! only the uncovered suffix ([`Aof::rewrite`]). Every sidecar file is
+//! replaced through the one crash-safe writer, [`AtomicFile`].
 //! A checkpoint's coverage only advances after its file is durable, and
 //! the rewrite never drops an entry some shard still needs (DESIGN.md
 //! invariant 12), so at every instant
@@ -58,7 +59,7 @@ use curp_proto::message::{LogEntry, Request, Response};
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{Epoch, KeyHash, MasterId};
 use curp_rifl::RiflTable;
-use curp_storage::{Aof, FsyncPolicy, StateStore, StoreConfig};
+use curp_storage::{Aof, AtomicFile, FsyncPolicy, StateStore, StoreConfig, SyncLevel};
 use parking_lot::Mutex;
 
 use crate::snapshot::Snapshot;
@@ -84,21 +85,16 @@ fn ckpt_path(dir: &Path, master: MasterId, shard: usize) -> PathBuf {
 }
 
 /// Persists the fencing epoch for `master` as a sidecar file (8-byte LE
-/// epoch, tmp + fsync + rename + dir fsync). The fence must survive this
+/// epoch, replaced via [`AtomicFile`]). The fence must survive this
 /// backup's own crash: the coordinator fences *before* recovery reads any
 /// backup (§4.7), and a zombie master can outlive a backup reboot — a fence
 /// that only lives in memory would re-admit its stale syncs after a cold
 /// restart.
 fn persist_fence(dir: &Path, master: MasterId, epoch: Epoch) -> std::io::Result<()> {
     use std::io::Write;
-    let tmp = dir.join(format!("master-{}.fence.tmp", master.0));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&epoch.0.to_le_bytes())?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, fence_path(dir, master))?;
-    curp_storage::fsync_dir(dir)
+    AtomicFile::replace(&fence_path(dir, master), SyncLevel::DataAndDir, |f| {
+        f.write_all(&epoch.0.to_le_bytes())
+    })
 }
 
 /// Reads the persisted fence, if any ([`Epoch(0)`](Epoch) when absent).
@@ -349,15 +345,7 @@ impl BackupService {
     ) -> std::io::Result<BackupService> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let svc = BackupService {
-            replicas: Mutex::ranked(
-                lockrank::BACKUP_REPLICAS,
-                "core.backup.replicas",
-                HashMap::new(),
-            ),
-            dir: Some(dir),
-            store_cfg,
-        };
+        let svc = BackupService { dir: Some(dir), store_cfg, ..Self::default() };
         svc.restore_all_from_disk()?;
         Ok(svc)
     }
@@ -498,8 +486,8 @@ impl BackupService {
 
     /// Writes shard `shard`'s state (plus the full RIFL table) to its
     /// checkpoint file: header `[base epoch][base next_seq][shard count]
-    /// [shard idx]` + snapshot blob whose `next_seq` is the coverage.
-    /// tmp + fsync + rename + dir fsync, like every other install here.
+    /// [shard idx]` + snapshot blob whose `next_seq` is the coverage,
+    /// replaced via [`AtomicFile`] like every other install here.
     fn checkpoint_shard(
         dir: &Path,
         replica: &Replica,
@@ -514,19 +502,13 @@ impl BackupService {
             rifl: replica.rifl.export(),
             next_seq: replica.next_seq,
         };
-        let path = ckpt_path(dir, master, shard);
-        let tmp = dir.join(format!("master-{}.ckpt{}.tmp", master.0, shard));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
+        AtomicFile::replace(&ckpt_path(dir, master, shard), SyncLevel::DataAndDir, |f| {
             f.write_all(&replica.base.0 .0.to_le_bytes())?;
             f.write_all(&replica.base.1.to_le_bytes())?;
             f.write_all(&(replica.coverage.len() as u32).to_le_bytes())?;
             f.write_all(&(shard as u32).to_le_bytes())?;
-            f.write_all(&snap.to_blob())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        curp_storage::fsync_dir(dir)
+            f.write_all(&snap.to_blob())
+        })
     }
 
     fn parse_ckpt(raw: &[u8]) -> std::io::Result<CkptFile> {
@@ -555,7 +537,7 @@ impl BackupService {
         let path = aof_path(dir, master);
         let outcome = Aof::load(&path)?;
         let kept: Vec<LogEntry> =
-            outcome.entries.into_iter().filter(|e| e.seq >= min_cov).collect();
+            outcome.records.into_iter().filter(|e| e.seq >= min_cov).collect();
         replica.aof = Some(Aof::rewrite(&path, &kept, FsyncPolicy::Manual)?);
         replica.rewritten = min_cov;
         Ok(())
@@ -679,10 +661,10 @@ impl BackupService {
     }
 
     /// Persists an installed snapshot: header (epoch, next_seq) + blob,
-    /// written to a temp file, fsynced, renamed over the `.snap` path —
-    /// then any shard checkpoints (stale: they overlaid the previous
-    /// base) are deleted and the AOF is truncated (subsequent syncs
-    /// continue from `next_seq`). Crash between the rename and the
+    /// replaced via [`AtomicFile`] (directory fsync deferred to the end of
+    /// this function) — then any shard checkpoints (stale: they overlaid
+    /// the previous base) are deleted and the AOF is truncated (subsequent
+    /// syncs continue from `next_seq`). Crash between the rename and the
     /// cleanup leaves stale AOF entries below `next_seq`, which
     /// [`BackupService::restore_from_aof`] skips, and stale checkpoints,
     /// which it ignores by their base mismatch.
@@ -693,16 +675,12 @@ impl BackupService {
         next_seq: u64,
         snap: &Snapshot,
     ) -> std::io::Result<()> {
-        let tmp = dir.join(format!("master-{}.snap.tmp", master.0));
-        {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
+        use std::io::Write;
+        AtomicFile::replace(&snap_path(dir, master), SyncLevel::Data, |f| {
             f.write_all(&epoch.0.to_le_bytes())?;
             f.write_all(&next_seq.to_le_bytes())?;
-            f.write_all(&snap.to_blob())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, snap_path(dir, master))?;
+            f.write_all(&snap.to_blob())
+        })?;
         Self::remove_ckpts(dir, master)?;
         let aof = std::fs::OpenOptions::new()
             .write(true)
@@ -809,14 +787,10 @@ impl BackupService {
         // A crash mid-rewrite may strand the tmp file the rename never
         // consumed; the rename is the commit point, so the tmp is dead
         // bytes — drop it rather than let it linger forever.
-        match std::fs::remove_file(aof_path(&dir, master).with_extension("rewrite")) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+        AtomicFile::discard_stale(&aof_path(&dir, master))?;
         let outcome = Aof::load(&aof_path(&dir, master))?;
         let mut next_seq = min_cov;
-        for e in &outcome.entries {
+        for e in &outcome.records {
             if e.seq < next_seq {
                 continue; // covered by a checkpoint, or pre-install remnant
             }
@@ -1007,7 +981,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use curp_proto::types::{ClientId, RpcId};
-    use curp_storage::{Store, TempDir};
+    use curp_storage::TempDir;
 
     const M: MasterId = MasterId(1);
 
@@ -1119,9 +1093,8 @@ mod tests {
     fn install_rejects_stale_epoch() {
         let bs = BackupService::new();
         bs.set_epoch(M, Epoch(5));
-        let snap = Snapshot::capture(&Store::new(), &RiflTable::new(), 0);
-        assert!(!bs.install(M, Epoch(4), 0, &snap).unwrap());
-        assert!(bs.install(M, Epoch(5), 0, &snap).unwrap());
+        assert!(!bs.install(M, Epoch(4), 0, empty_snapshot()).unwrap());
+        assert!(bs.install(M, Epoch(5), 0, empty_snapshot()).unwrap());
     }
 
     #[test]
@@ -1168,7 +1141,7 @@ mod tests {
 
     #[test]
     fn compact_bounds_the_aof_and_survives_restart() {
-        let tmp = TempDir::new("backup-compact").unwrap();
+        let tmp = TempDir::new("curp-backup-compact").unwrap();
         let val = "v".repeat(64);
         let entries: Vec<LogEntry> =
             (0..200).map(|i| entry(i, &format!("k{}", i % 10), &val, i / 10 + 1)).collect();
@@ -1195,7 +1168,7 @@ mod tests {
 
     #[test]
     fn restart_replays_checkpoints_plus_aof_suffix() {
-        let tmp = TempDir::new("backup-ckpt-suffix").unwrap();
+        let tmp = TempDir::new("curp-backup-ckpt-suffix").unwrap();
         {
             let bs = BackupService::durable_with(tmp.path(), StoreConfig::memory(4)).unwrap();
             let old: Vec<LogEntry> =
@@ -1217,7 +1190,7 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoint_falls_back_to_the_log_when_it_still_covers() {
-        let tmp = TempDir::new("backup-ckpt-corrupt").unwrap();
+        let tmp = TempDir::new("curp-backup-ckpt-corrupt").unwrap();
         {
             let bs = BackupService::durable_with(tmp.path(), StoreConfig::memory(2)).unwrap();
             let ops: Vec<LogEntry> = (0..20).map(|i| entry(i, &format!("k{i}"), "v", 1)).collect();
@@ -1239,7 +1212,7 @@ mod tests {
 
     #[test]
     fn install_invalidates_prior_checkpoints() {
-        let tmp = TempDir::new("backup-install-ckpt").unwrap();
+        let tmp = TempDir::new("curp-backup-install-ckpt").unwrap();
         let bs = BackupService::durable_with(tmp.path(), StoreConfig::memory(2)).unwrap();
         let ops: Vec<LogEntry> = (0..10).map(|i| entry(i, &format!("k{i}"), "v", 1)).collect();
         sync2(&bs, M, Epoch(0), &ops);

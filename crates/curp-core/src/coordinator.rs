@@ -45,7 +45,6 @@ use parking_lot::Mutex;
 
 use crate::master::{futures_join_all, Master, MasterConfig, MasterSeed};
 use crate::server::CurpServer;
-use crate::snapshot::Snapshot;
 
 /// Factory producing an [`RpcClient`] whose calls originate from a given
 /// server id (masters send syncs/gcs *as themselves*).
@@ -1050,7 +1049,6 @@ impl Coordinator {
                 other => return Err(format!("backup install failed: {other:?}")),
             }
         }
-        let (store, rifl) = Snapshot::restore(&snap);
         let master = Master::with_state(
             MasterSeed {
                 id: spec.new_id,
@@ -1062,9 +1060,7 @@ impl Coordinator {
             },
             self.master_cfg.clone(),
             Arc::clone(&rpc),
-            store,
-            rifl,
-            0,
+            snap,
         );
         master.spawn_syncer();
         self.server(spec.target_srv)?.set_master(Arc::clone(&master));

@@ -50,7 +50,7 @@ use curp_proto::message::{LogEntry, RecordedRequest, Request, Response};
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{Epoch, KeyHash, MasterId, RpcId, ServerId, WitnessListVersion};
 use curp_rifl::{CheckResult, RiflTable};
-use curp_storage::{StateStore, Store, StoreConfig};
+use curp_storage::{StateStore, StoreConfig};
 use curp_transport::rpc::RpcClient;
 use parking_lot::Mutex;
 use tokio::sync::{watch, Notify};
@@ -237,21 +237,32 @@ pub struct MasterSeed {
 impl Master {
     /// Creates a fresh, empty master.
     pub fn new(seed: MasterSeed, cfg: MasterConfig, rpc: Arc<dyn RpcClient>) -> Arc<Master> {
-        Self::with_state(seed, cfg, rpc, Store::new(), RiflTable::new(), 0)
+        let store = cfg.store.build();
+        Self::build(seed, cfg, rpc, store, RiflTable::new(), 0)
     }
 
-    /// Creates a master over restored state (recovery, migration). The
-    /// single-space `store` is re-sharded across `cfg.store_shards`.
+    /// Creates a master over restored state (recovery, migration): the
+    /// snapshot is imported, entirely synced, into the engine `cfg.store`
+    /// selects, and log entries continue from `snap.next_seq`.
     pub fn with_state(
         seed: MasterSeed,
         cfg: MasterConfig,
         rpc: Arc<dyn RpcClient>,
-        store: Store,
+        snap: Snapshot,
+    ) -> Arc<Master> {
+        let store = cfg.store.build_import(snap.objects, snap.dead_versions);
+        Self::build(seed, cfg, rpc, store, RiflTable::import(snap.rifl), snap.next_seq)
+    }
+
+    fn build(
+        seed: MasterSeed,
+        cfg: MasterConfig,
+        rpc: Arc<dyn RpcClient>,
+        store: Box<dyn StateStore<ShardMeta>>,
         rifl: RiflTable,
         next_seq: u64,
     ) -> Arc<Master> {
         let sync_workers = cfg.sync_workers.max(1);
-        let store = cfg.store.build_from_store(store);
         Arc::new(Master {
             id: seed.id,
             cfg,
@@ -941,8 +952,10 @@ impl Master {
             Response::BackupData { next_seq, snapshot } => (next_seq, snapshot),
             other => return Err(format!("unexpected fetch response: {other:?}")),
         };
-        let snap = Snapshot::from_blob(&snapshot).map_err(|e| e.to_string())?;
-        let (store, mut rifl) = snap.restore();
+        let mut snap = Snapshot::from_blob(&snapshot).map_err(|e| e.to_string())?;
+        // The response header's next_seq is what the backup vouches for; it
+        // is authoritative over the blob's copy.
+        snap.next_seq = next_seq;
 
         // Step 2: freeze one witness and take its requests.
         let rsp = rpc
@@ -957,8 +970,8 @@ impl Master {
         // Step 3: replay. Requests in one witness are mutually commutative,
         // so any order is fine; RIFL filters those already restored from the
         // backup; ownership filters migrated-away partitions (§3.6).
-        rifl.set_recovery_mode(true);
-        let master = Master::with_state(seed, cfg, rpc, store, rifl, next_seq);
+        let master = Master::with_state(seed, cfg, rpc, snap);
+        master.rifl.lock().set_recovery_mode(true);
         for req in requests {
             let _ = master.replay_recorded(&req);
         }

@@ -9,7 +9,7 @@ use curp_proto::message::LogEntry;
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{ClientId, Epoch, MasterId, RpcId};
 use curp_rifl::RiflTable;
-use curp_storage::{Aof, Store, TempDir};
+use curp_storage::{Aof, ShardedStore, TempDir};
 
 const M: MasterId = MasterId(1);
 
@@ -58,8 +58,8 @@ fn ack_implies_entries_are_on_disk() {
     let bs = BackupService::durable(dir.path()).unwrap();
     applied(bs.sync(M, Epoch(1), &[entry(0, "k", "v", 1)]));
     let loaded = Aof::load(&dir.path().join("master-1.aof")).unwrap();
-    assert_eq!(loaded.entries.len(), 1, "ack preceded the AOF write");
-    assert_eq!(loaded.entries[0], entry(0, "k", "v", 1));
+    assert_eq!(loaded.records.len(), 1, "ack preceded the AOF write");
+    assert_eq!(loaded.records[0], entry(0, "k", "v", 1));
     assert!(!loaded.truncated);
 }
 
@@ -70,13 +70,13 @@ fn buffered_out_of_order_entries_are_not_persisted_early() {
         let bs = BackupService::durable(dir.path()).unwrap();
         // seq 1 arrives first: buffered, applied nowhere, persisted nowhere.
         applied(bs.sync(M, Epoch(1), &[entry(1, "b", "2", 1)]));
-        assert!(Aof::load(&dir.path().join("master-1.aof")).unwrap().entries.is_empty());
+        assert!(Aof::load(&dir.path().join("master-1.aof")).unwrap().records.is_empty());
         // seq 0 fills the gap: both go to disk in seq order, one batch.
         let next = applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1)]));
         assert_eq!(next, 2);
     }
     let loaded = Aof::load(&dir.path().join("master-1.aof")).unwrap();
-    let seqs: Vec<u64> = loaded.entries.iter().map(|e| e.seq).collect();
+    let seqs: Vec<u64> = loaded.records.iter().map(|e| e.seq).collect();
     assert_eq!(seqs, vec![0, 1], "AOF must hold the contiguous run in order");
     // A restart sees the full, ordered state.
     let bs = BackupService::durable(dir.path()).unwrap();
@@ -93,7 +93,7 @@ fn duplicate_resend_is_not_appended_twice() {
         applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1), entry(1, "a", "2", 2)]));
     }
     let loaded = Aof::load(&dir.path().join("master-1.aof")).unwrap();
-    assert_eq!(loaded.entries.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
+    assert_eq!(loaded.records.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
     let bs = BackupService::durable(dir.path()).unwrap();
     assert_eq!(bs.read(M, &Op::Get { key: b("a") }), Some(OpResult::Value(Some(b("2")))));
 }
@@ -104,11 +104,11 @@ fn install_persists_snapshot_and_later_syncs_extend_it() {
     let blob_next;
     {
         // Materialize some state to snapshot.
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         store.execute(&Op::Put { key: b("base"), value: b("snap") });
         let mut rifl = RiflTable::new();
         rifl.record(RpcId::new(ClientId(9), 1), OpResult::Written { version: 1 });
-        let snap = Snapshot::capture(&store, &rifl, 5);
+        let snap = Snapshot::from_parts(store.export(), rifl.export(), 5);
         blob_next = 5u64;
 
         let bs = BackupService::durable(dir.path()).unwrap();

@@ -8,10 +8,12 @@ use std::time::Duration;
 use bytes::Bytes;
 use curp_core::backup::BackupService;
 use curp_core::master::{Master, MasterConfig, MasterSeed};
+use curp_core::snapshot::Snapshot;
 use curp_proto::cluster::HashRange;
-use curp_proto::message::{Request, Response};
+use curp_proto::message::{RecordedRequest, Request, Response};
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{ClientId, Epoch, MasterId, RpcId, ServerId, WitnessListVersion};
+use curp_storage::StoreConfig;
 use curp_transport::rpc::{BoxFuture, RpcClient};
 use curp_witness::cache::CacheConfig;
 use curp_witness::WitnessService;
@@ -22,10 +24,12 @@ const WITNESS: ServerId = ServerId(3);
 const WLV: WitnessListVersion = WitnessListVersion(1);
 
 /// Loopback transport: routes master-originated RPCs straight into local
-/// backup/witness services, counting calls.
+/// backup/witness services, keeping every `BackupInstall` blob it carries
+/// (the exact bytes a recovered master exported).
 struct Loopback {
     backup: Arc<BackupService>,
     witness: Arc<WitnessService>,
+    installs: Arc<parking_lot::Mutex<Vec<Bytes>>>,
 }
 
 impl RpcClient for Loopback {
@@ -36,6 +40,9 @@ impl RpcClient for Loopback {
     ) -> BoxFuture<'static, Result<Response, curp_transport::RpcError>> {
         let backup = Arc::clone(&self.backup);
         let witness = Arc::clone(&self.witness);
+        if let Request::BackupInstall { snapshot, .. } = &req {
+            self.installs.lock().push(snapshot.clone());
+        }
         Box::pin(async move {
             Ok(match to {
                 BACKUP => backup.handle_request(&req),
@@ -50,25 +57,31 @@ struct Rig {
     master: Arc<Master>,
     backup: Arc<BackupService>,
     witness: Arc<WitnessService>,
+    rpc: Arc<Loopback>,
+}
+
+fn seed(id: MasterId) -> MasterSeed {
+    MasterSeed {
+        id,
+        epoch: Epoch(1),
+        backups: vec![BACKUP],
+        witnesses: vec![WITNESS],
+        wl_version: WLV,
+        range: HashRange::FULL,
+    }
 }
 
 fn rig(cfg: MasterConfig) -> Rig {
     let backup = Arc::new(BackupService::new());
     let witness = Arc::new(WitnessService::new(CacheConfig::default()));
-    let master = Master::new(
-        MasterSeed {
-            id: M,
-            epoch: Epoch(1),
-            backups: vec![BACKUP],
-            witnesses: vec![WITNESS],
-            wl_version: WLV,
-            range: HashRange::FULL,
-        },
-        cfg,
-        Arc::new(Loopback { backup: Arc::clone(&backup), witness: Arc::clone(&witness) }),
-    );
+    let rpc = Arc::new(Loopback {
+        backup: Arc::clone(&backup),
+        witness: Arc::clone(&witness),
+        installs: Default::default(),
+    });
+    let master = Master::new(seed(M), cfg, Arc::clone(&rpc) as Arc<dyn RpcClient>);
     witness.start(M);
-    Rig { master, backup, witness }
+    Rig { master, backup, witness, rpc }
 }
 
 fn lazy() -> MasterConfig {
@@ -88,7 +101,11 @@ fn rid(c: u64, s: u64) -> RpcId {
 }
 
 async fn put(r: &Rig, id: RpcId, key: &str, value: &str) -> Response {
-    r.master.handle_update(id, 0, WLV, Op::Put { key: b(key), value: b(value) }).await
+    put_on(&r.master, id, key, value).await
+}
+
+async fn put_on(master: &Arc<Master>, id: RpcId, key: &str, value: &str) -> Response {
+    master.handle_update(id, 0, WLV, Op::Put { key: b(key), value: b(value) }).await
 }
 
 #[tokio::test]
@@ -151,7 +168,7 @@ async fn not_owner_outside_range() {
             range: HashRange { start: 10, end: 11 },
         },
         lazy(),
-        Arc::new(Loopback { backup, witness }),
+        Arc::new(Loopback { backup, witness, installs: Default::default() }),
     );
     let rsp = master
         .handle_update(rid(1, 1), 0, WLV, Op::Put { key: b("anything"), value: b("v") })
@@ -213,7 +230,7 @@ async fn sync_gc_drains_witness() {
     let r = rig(lazy());
     // Simulate the client-side record (the master does not record; clients do).
     let op = Op::Put { key: b("k"), value: b("v") };
-    let req = curp_proto::message::RecordedRequest {
+    let req = RecordedRequest {
         master_id: M,
         rpc_id: rid(1, 1),
         key_hashes: op.key_hashes(),
@@ -231,12 +248,7 @@ async fn suspected_garbage_is_retried_and_collected() {
     let r = rig(lazy());
     // A client recorded a request but crashed before reaching the master.
     let op = Op::Put { key: b("orphan"), value: b("v") };
-    let req = curp_proto::message::RecordedRequest {
-        master_id: M,
-        rpc_id: rid(9, 1),
-        key_hashes: op.key_hashes(),
-        op,
-    };
+    let req = RecordedRequest { master_id: M, rpc_id: rid(9, 1), key_hashes: op.key_hashes(), op };
     assert!(r.witness.record(req));
     // Several gc rounds pass (other traffic syncing).
     for i in 0..3 {
@@ -246,12 +258,8 @@ async fn suspected_garbage_is_retried_and_collected() {
     // A new client bumps into the orphan: its record RPC is rejected by the
     // witness (same key), which flags the aged occupant as suspected garbage.
     let op2 = Op::Put { key: b("orphan"), value: b("w") };
-    let rejected = curp_proto::message::RecordedRequest {
-        master_id: M,
-        rpc_id: rid(2, 1),
-        key_hashes: op2.key_hashes(),
-        op: op2,
-    };
+    let rejected =
+        RecordedRequest { master_id: M, rpc_id: rid(2, 1), key_hashes: op2.key_hashes(), op: op2 };
     assert!(!r.witness.record(rejected), "conflicting record must be rejected");
     let rsp = put(&r, rid(2, 1), "orphan", "w").await;
     // The master executed it (master-side state had no conflict).
@@ -395,7 +403,7 @@ async fn unreachable_backup_fails_sync_but_keeps_pending() {
             sync_retry_backoff: Duration::from_millis(1),
             ..lazy()
         },
-        Arc::new(Loopback { backup, witness }),
+        Arc::new(Loopback { backup, witness, installs: Default::default() }),
     );
     let rsp = master.handle_update(rid(1, 1), 0, WLV, Op::Put { key: b("k"), value: b("v") }).await;
     // Speculative response still works...
@@ -410,7 +418,7 @@ async fn dishonest_footprint_is_dropped_on_replay() {
     let r = rig(lazy());
     // A buggy client cached a footprint that does not match its op: the
     // witness files it under "fake" while the op would write "real".
-    let lying = curp_proto::message::RecordedRequest {
+    let lying = RecordedRequest {
         master_id: M,
         rpc_id: rid(9, 1),
         key_hashes: Op::Put { key: b("fake"), value: b("v") }.key_hashes(),
@@ -425,7 +433,7 @@ async fn dishonest_footprint_is_dropped_on_replay() {
     // An honest record on "fake" collides with the lying one, flagging it as
     // suspected garbage for the next gc response.
     let honest = Op::Put { key: b("fake"), value: b("w") };
-    let rejected = curp_proto::message::RecordedRequest {
+    let rejected = RecordedRequest {
         master_id: M,
         rpc_id: rid(2, 1),
         key_hashes: honest.key_hashes(),
@@ -532,4 +540,47 @@ async fn multikey_update_spans_shards_atomically() {
     assert_eq!(got, Some(OpResult::Value(Some(b("v")))));
     let got = r.backup.read(M, &Op::Get { key: b("mk3") });
     assert_eq!(got, Some(OpResult::Value(Some(b("w")))));
+}
+
+#[tokio::test]
+async fn recovered_master_is_engine_independent_and_keeps_dead_key_versions() {
+    // DESIGN invariant 5 across engines: a master rebuilt from a snapshot
+    // (`Master::with_state` -> `StoreConfig::build_import`, the §3.6/§4.6
+    // entry point) must export byte-identical state whichever engine the
+    // config selects, and must still remember the versions of deleted keys.
+    let r = rig(lazy());
+    put(&r, rid(1, 1), "live", "v").await;
+    for (seq, key) in [(2, "dead"), (4, "gone")] {
+        put(&r, rid(1, seq), key, "v1").await;
+        r.master.handle_update(rid(1, seq + 1), 0, WLV, Op::Delete { key: b(key) }).await;
+    }
+    assert!(r.master.sync().await);
+    // A speculative re-create of a deleted key survives only on the witness.
+    let op = Op::Put { key: b("dead"), value: b("v2") };
+    let key_hashes = op.key_hashes();
+    assert!(r.witness.record(RecordedRequest { master_id: M, rpc_id: rid(2, 1), key_hashes, op }));
+
+    let tier_root = curp_storage::TempDir::new("curp-master-recover").unwrap();
+    let mut tiered = StoreConfig::tiered(4, tier_root.path());
+    tiered.tier.as_mut().unwrap().memtable_budget = 1; // every maintain evicts
+    let engines = [StoreConfig::memory(1), StoreConfig::memory(4), tiered];
+    for (i, store) in engines.into_iter().enumerate() {
+        let (id, cfg) = (MasterId(M.0 + 1 + i as u64), MasterConfig { store, ..lazy() });
+        let m = Master::recover(seed(id), cfg, r.rpc.clone(), M, BACKUP, WITNESS).await.unwrap();
+        // One sync round later (the tiered engine has spilled everything to
+        // a run) the other deleted key's version memory must have survived
+        // import and eviction alike.
+        put_on(&m, rid(3, 1), "other", "v").await;
+        assert!(m.sync().await);
+        let op = Op::ConditionalPut { key: b("gone"), expected_version: 1, value: b("back") };
+        let rsp = m.handle_update(rid(3, 2), 0, WLV, op).await;
+        let want = Response::Update { result: OpResult::Written { version: 2 }, synced: false };
+        assert_eq!(rsp, want, "engine {i} forgot a deleted key's version");
+    }
+    let installs = r.rpc.installs.lock();
+    let snap = Snapshot::from_blob(&installs[0]).unwrap();
+    assert!(snap.objects.iter().any(|(k, o)| k == &b("dead") && o.version == 2), "replayed");
+    assert!(snap.dead_versions.contains(&(b("gone"), 1)));
+    assert_eq!(installs.len(), 3);
+    assert!(installs.iter().all(|blob| blob == &installs[0]), "exports diverged across engines");
 }

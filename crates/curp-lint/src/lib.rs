@@ -3,7 +3,8 @@
 //! parking_lot shim: the auditor proves the discipline holds on executed
 //! paths; this pass keeps the source free of constructs the auditor cannot
 //! see (unranked locks, raw `std::sync`, real clocks in deterministic
-//! code, unaudited unwraps, ack-before-fsync orderings).
+//! code, unaudited unwraps, ack-before-fsync orderings, durable writes
+//! that bypass the one writer, hand-named scratch paths).
 //!
 //! Run with `cargo run -p curp-lint` from anywhere in the workspace; CI
 //! runs it beside clippy. Exit status 1 means findings were printed, one
@@ -17,21 +18,28 @@ use std::path::{Path, PathBuf};
 
 use rules::{Allowlist, FileCtx, Finding};
 
-/// Lints every `crates/*/src/**/*.rs` under `root` (the workspace root),
-/// applying `allow` and returning the surviving findings sorted by path
-/// and line.
+/// Lints every package under `root` (the workspace root) — each
+/// `crates/*` member and the facade at the root itself: `src/**/*.rs`
+/// under every rule, `tests/`, `benches/` and `examples/` under the rules
+/// that police test code ([`rules::is_test_target`]) — applying `allow`
+/// and returning the surviving findings sorted by path and line.
 pub fn lint_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Vec<Finding>> {
-    // crate dir -> its source files.
+    // package dir -> its source files.
     let mut by_crate: BTreeMap<PathBuf, Vec<PathBuf>> = BTreeMap::new();
-    let crates_dir = root.join("crates");
-    for entry in std::fs::read_dir(&crates_dir)? {
-        let crate_dir = entry?.path();
-        let src = crate_dir.join("src");
-        if !src.is_dir() {
+    let mut packages = vec![root.to_path_buf()];
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        packages.push(entry?.path());
+    }
+    for crate_dir in packages {
+        if !crate_dir.join("src").is_dir() {
             continue;
         }
         let mut files = Vec::new();
-        collect_rs(&src, &mut files)?;
+        for sub in ["src", "tests", "benches", "examples"] {
+            if crate_dir.join(sub).is_dir() {
+                collect_rs(&crate_dir.join(sub), &mut files)?;
+            }
+        }
         files.sort();
         by_crate.insert(crate_dir, files);
     }
@@ -51,7 +59,8 @@ pub fn lint_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<Vec<Fin
                 Ok((rel, lexer::lex(&text)))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        let lexed_refs: Vec<&lexer::Lexed> = sources.iter().map(|(_, l)| l).collect();
+        let lexed_refs: Vec<&lexer::Lexed> =
+            sources.iter().filter(|(rel, _)| !rules::is_test_target(rel)).map(|(_, l)| l).collect();
         let crate_has_ranked_locks = rules::has_ranked_locks(&lexed_refs);
         for (rel, lexed) in &sources {
             let test_tokens = rules::test_token_mask(lexed);

@@ -12,6 +12,8 @@
 //! | `std-time`        | `std::time::Instant`/`SystemTime` in deterministic code|
 //! | `unwrap-expect`   | `.unwrap()`/`.expect(` in audited fast-path crates    |
 //! | `ack-before-fsync`| ack construction before a later fsync in durable code |
+//! | `raw-durable-write`| `fs::rename`/`File::create` in durable code outside `frames.rs` |
+//! | `adhoc-tempdir`   | `temp_dir()` outside `tempdir.rs` — tests and benches included |
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -44,7 +46,8 @@ pub struct FileCtx<'a> {
     /// Lexed source.
     pub lexed: &'a Lexed,
     /// Token indices inside `#[cfg(test)]` / `#[test]` items (excluded from
-    /// every rule: tests may use unwraps, real time, plain mutexes freely).
+    /// every rule but `adhoc-tempdir`: tests may use unwraps, real time,
+    /// plain mutexes freely — but not name their own scratch paths).
     pub test_tokens: &'a [bool],
     /// Whether the file's crate defines ranked locks (activates
     /// `unranked-mutex`).
@@ -67,16 +70,32 @@ pub const DURABLE_FILES: &[&str] =
 pub const ACK_TOKENS: &[&str] =
     &["BackupSynced", "BackupInstalled", "RecordAccepted", "SyncDone", "WitnessStarted"];
 
-/// Fsync-performing method names.
-const FSYNC_TOKENS: &[&str] = &["sync_data", "sync_all", "fsync_dir"];
+/// Fsync-performing names: the raw calls plus the entry points of the one
+/// durable-file writer (`curp_storage::frames`).
+const FSYNC_TOKENS: &[&str] =
+    &["sync_data", "sync_all", "fsync_dir", "AtomicFile", "open_for_append"];
 
-/// Runs every rule applicable to `ctx` and appends findings.
+/// Runs every rule applicable to `ctx` and appends findings. Test, bench
+/// and example targets are test code wholesale: only `adhoc-tempdir`
+/// reaches into them.
 pub fn run_all(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    rule_adhoc_tempdir(ctx, out);
+    if is_test_target(ctx.path) {
+        return;
+    }
     rule_std_sync(ctx, out);
     rule_unranked_mutex(ctx, out);
     rule_std_time(ctx, out);
     rule_unwrap_expect(ctx, out);
     rule_ack_before_fsync(ctx, out);
+    rule_raw_durable_write(ctx, out);
+}
+
+/// Whether `path` (repo-relative) is an integration-test, bench or example
+/// target rather than library source.
+pub fn is_test_target(path: &str) -> bool {
+    let dirs = ["tests/", "benches/", "examples/"];
+    dirs.iter().any(|d| path.starts_with(d) || path.contains(&format!("/{d}")))
 }
 
 /// Computes, per token index, whether the token sits inside a test-gated
@@ -333,8 +352,7 @@ fn rule_unwrap_expect(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// call in the same file suggests the ack does not cover the write. Sites
 /// where the ordering is correct anyway carry `// lint: ack-after-fsync`.
 fn rule_ack_before_fsync(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let file_name = Path::new(ctx.path).file_name().and_then(|s| s.to_str()).unwrap_or("");
-    if !DURABLE_FILES.contains(&file_name) {
+    if !DURABLE_FILES.contains(&file_name(ctx.path)) {
         return;
     }
     let lexed = ctx.lexed;
@@ -366,6 +384,60 @@ fn rule_ack_before_fsync(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 message: format!(
                     "`{name}` constructed before a later fsync in a durable module; verify the covering fsync precedes the ack and mark `// lint: ack-after-fsync`"
                 ),
+            });
+        }
+    }
+}
+
+fn file_name(path: &str) -> &str {
+    Path::new(path).file_name().and_then(|s| s.to_str()).unwrap_or("")
+}
+
+/// `fs::rename` / `File::create` in a durable module other than
+/// `frames.rs`: whole-file replacement goes through `AtomicFile`, the one
+/// place that discipline is written down (DESIGN.md invariants 7 and 12).
+fn rule_raw_durable_write(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    let name = file_name(ctx.path);
+    if !DURABLE_FILES.contains(&name) || name == "frames.rs" {
+        return;
+    }
+    let lexed = ctx.lexed;
+    for i in 0..lexed.tokens.len() {
+        if ctx.test_tokens[i] || !path_sep(lexed, i + 1) {
+            continue;
+        }
+        let call = match (ident_at(lexed, i), ident_at(lexed, i + 3)) {
+            (Some("fs"), Some("rename")) => "fs::rename",
+            (Some("File"), Some("create")) => "File::create",
+            _ => continue,
+        };
+        out.push(Finding {
+            path: ctx.path.into(),
+            line: lexed.tokens[i].line,
+            rule: "raw-durable-write",
+            message: format!(
+                "`{call}` in a durable module; replace files through `curp_storage::AtomicFile`"
+            ),
+        });
+    }
+}
+
+/// `temp_dir()` anywhere but `tempdir.rs`. Unlike every other rule this one
+/// looks *inside* test code: hand-named scratch paths under the OS temp
+/// root are how parallel tests came to share a file. `TempDir` (pid +
+/// counter, self-cleaning) is the one way to get a scratch path.
+fn rule_adhoc_tempdir(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    if file_name(ctx.path) == "tempdir.rs" {
+        return;
+    }
+    let lexed = ctx.lexed;
+    for i in 0..lexed.tokens.len() {
+        if ident_at(lexed, i) == Some("temp_dir") && punct_at(lexed, i + 1, '(') {
+            out.push(Finding {
+                path: ctx.path.into(),
+                line: lexed.tokens[i].line,
+                rule: "adhoc-tempdir",
+                message: "`temp_dir()` outside `tempdir.rs`; take scratch paths from `curp_storage::TempDir`".into(),
             });
         }
     }

@@ -76,6 +76,29 @@ fn ack_fsync_fixture_fails_only_under_durable_names() {
 }
 
 #[test]
+fn raw_durable_write_fixture_fails_only_in_durable_modules_outside_frames() {
+    let f = lint_fixture("raw_durable_write.rs", "crates/curp-core/src/backup.rs", false);
+    assert_eq!(lines_for(&f, "raw-durable-write"), vec![7, 9], "File::create + fs::rename");
+    for quiet_path in ["crates/curp-storage/src/frames.rs", "crates/curp-core/src/client.rs"] {
+        let quiet = lint_fixture("raw_durable_write.rs", quiet_path, false);
+        assert_eq!(lines_for(&quiet, "raw-durable-write"), Vec::<u32>::new(), "{quiet_path}");
+    }
+}
+
+#[test]
+fn adhoc_tempdir_fixture_fails_in_test_code_and_test_targets_too() {
+    for path in ["crates/x/src/scratch.rs", "crates/x/tests/prop.rs", "tests/e2e.rs"] {
+        let f = lint_fixture("adhoc_tempdir.rs", path, false);
+        assert_eq!(lines_for(&f, "adhoc-tempdir"), vec![6, 13], "{path}");
+    }
+    let home = lint_fixture("adhoc_tempdir.rs", "crates/curp-storage/src/tempdir.rs", false);
+    assert_eq!(lines_for(&home, "adhoc-tempdir"), Vec::<u32>::new());
+    // Test targets are test code wholesale: no other rule reaches into them.
+    let f = lint_fixture("unwrap.rs", "crates/curp-core/tests/unwrap.rs", false);
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
 fn allowlist_suppresses_by_rule_and_suffix() {
     let allow = Allowlist::parse(
         "# comment\n\nunwrap-expect curp-core/src/unwrap.rs\nstd-sync some/other.rs\n",

@@ -19,10 +19,11 @@
 //! | `0x0400`        | server master slot                                 |
 //! | `0x0500`        | backup replica map (held across store operations)  |
 //! | `0x0600..0x07ff`| witness service map, per-instance mode             |
+//! | `0x0800`        | consensus replica state (held across its store)    |
 //! | `0x1000..0x1fff`| store shards, rank = `STORE_SHARD + index`         |
 //! | `0x2000..0x2fff`| witness cache shards, rank = `WITNESS_SHARD + i`   |
 //! | `0x3000..0x30ff`| master leaves: RIFL, ctrl, pending-GC              |
-//! | `0x3100..0x31ff`| consensus replica/client leaves                    |
+//! | `0x3100..0x31ff`| consensus client leaves                            |
 //! | `0x3200`        | witness journal file                               |
 //! | `0x3300..0x33ff`| transport leaves (in-memory fabric, TCP)           |
 //! | `0x4000`        | tier run list — **strict leaf**                    |
@@ -62,6 +63,11 @@ pub const WITNESS_INSTANCES: u32 = 0x0600;
 /// Per-witness-instance mode (accepting/frozen); held across cache shards.
 pub const WITNESS_MODE: u32 = 0x0700;
 
+/// Consensus replica state. Ranked below the store band because the
+/// replica executes against its single-shard store while holding it (the
+/// same shape as [`BACKUP_REPLICAS`]).
+pub const CONSENSUS_REPLICA: u32 = 0x0800;
+
 /// Base rank of the store shard band: shard `i` is `STORE_SHARD + i`.
 pub const STORE_SHARD: u32 = 0x1000;
 /// Base rank of the witness cache shard band.
@@ -76,8 +82,6 @@ pub const MASTER_CTRL: u32 = 0x3010;
 /// Master pending-GC queue.
 pub const MASTER_PENDING_GC: u32 = 0x3020;
 
-/// Consensus replica state.
-pub const CONSENSUS_REPLICA: u32 = 0x3100;
 /// Consensus client RIFL table.
 pub const CONSENSUS_CLIENT_RIFL: u32 = 0x3110;
 /// Consensus client leader cache.

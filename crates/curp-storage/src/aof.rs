@@ -11,16 +11,18 @@
 //! nothing alike on disk — a torn append is a missing suffix, while a bad
 //! record *followed by complete frames* means the medium lied — and recovery
 //! must not silently drop the durable entries behind a corrupt one. The
-//! distinction is reported through [`LoadOutcome`].
+//! distinction is reported through [`FramesOutcome`].
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 
 use bytes::BytesMut;
 use curp_proto::frame::write_frame;
 use curp_proto::message::LogEntry;
 use curp_proto::wire::{Decode, Encode};
+
+use crate::frames::{load_framed, open_for_append, AtomicFile, FramesOutcome, SyncLevel};
 
 /// When the AOF forces data to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,30 +38,6 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// Result of loading an AOF from disk.
-///
-/// Distinguishes the three on-disk conditions recovery cares about:
-///
-/// * clean EOF — `truncated == false`;
-/// * torn tail (crash mid-append) — `truncated == true`: the incomplete or
-///   undecodable final record was discarded, everything before it loaded;
-/// * mid-log corruption — [`Aof::load`] returns an error instead (a corrupt
-///   record with complete frames *after* it cannot be explained by a torn
-///   write, and truncating there would drop durable entries).
-#[must_use = "recovery must inspect how much of the log survived"]
-#[derive(Debug, Default)]
-pub struct LoadOutcome {
-    /// Every complete, decodable entry, in file order.
-    pub entries: Vec<LogEntry>,
-    /// Whether a torn final record was discarded.
-    pub truncated: bool,
-    /// Byte length of the clean prefix — the frames behind `entries`.
-    /// When `truncated`, the file must be cut back to this length before
-    /// any further append: new records written after the torn bytes would
-    /// sit behind a garbage length prefix and poison the *next* load.
-    pub clean_len: u64,
-}
-
 /// An append-only log of executed operations.
 pub struct Aof {
     file: File,
@@ -68,28 +46,13 @@ pub struct Aof {
     synced: u64,
 }
 
-/// Fsyncs `dir` itself, making directory-entry mutations (file creation,
-/// rename) durable. On ext4/xfs a file whose *contents* were fsynced can
-/// still vanish in a power loss if the directory entry pointing at it was
-/// never flushed — every durable-creation path must call this.
-pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
 impl Aof {
     /// Opens (creating if missing) the AOF at `path` for appending.
     ///
     /// Unless the policy is [`FsyncPolicy::Never`], a newly created file's
-    /// directory entry is made durable too ([`fsync_dir`]): an fsynced log
-    /// that can disappear with its directory entry is not a log.
+    /// directory entry is made durable too ([`open_for_append`]).
     pub fn open(path: &Path, policy: FsyncPolicy) -> std::io::Result<Aof> {
-        let existed = path.exists();
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        if !existed && policy != FsyncPolicy::Never {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                fsync_dir(dir)?;
-            }
-        }
+        let file = open_for_append(path, None, policy != FsyncPolicy::Never)?;
         Ok(Aof { file, policy, appended: 0, synced: 0 })
     }
 
@@ -147,7 +110,7 @@ impl Aof {
     /// Loads all complete entries from `path`.
     ///
     /// A torn final record (crash mid-write) is discarded and reported via
-    /// [`LoadOutcome::truncated`]; a missing file is an empty log. A corrupt
+    /// [`FramesOutcome::truncated`]; a missing file is an empty log. A corrupt
     /// record with complete frames after it — or an out-of-bounds length
     /// prefix, which a torn append cannot produce (append writes the 4
     /// header bytes before any payload, and a tear leaves a *short* header,
@@ -158,31 +121,16 @@ impl Aof {
     /// incomplete frame, which is indistinguishable from a tear without
     /// per-record checksums — this loader detects torn writes and payload
     /// corruption, not adversarial or silent in-place media corruption.
-    pub fn load(path: &Path) -> std::io::Result<LoadOutcome> {
-        let mut file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(LoadOutcome::default()),
-            Err(e) => return Err(e),
-        };
-        let mut raw = Vec::new();
-        file.read_to_end(&mut raw)?;
-        Self::load_frames(&raw)
-    }
-
-    /// Decodes a raw AOF byte stream (see [`Aof::load`] for the semantics).
-    pub fn load_frames(raw: &[u8]) -> std::io::Result<LoadOutcome> {
-        let out = crate::frames::decode_frames(raw, "", |frame| {
-            LogEntry::from_bytes_shared(frame).map_err(|e| e.to_string())
-        })?;
-        Ok(LoadOutcome { entries: out.records, truncated: out.truncated, clean_len: out.clean_len })
+    pub fn load(path: &Path) -> std::io::Result<FramesOutcome<LogEntry>> {
+        load_framed(path, "", |frame| LogEntry::from_bytes_shared(frame).map_err(|e| e.to_string()))
     }
 
     /// Atomically replaces the log at `path` with exactly `entries` and
     /// reopens it for appending under `policy` — the AOF-compaction
     /// primitive behind the backup's bounded-log maintenance.
     ///
-    /// Crash-safe by construction: the new content is written to a
-    /// sibling `.rewrite` file, fsynced there, and renamed over `path`
+    /// Crash-safe by construction ([`AtomicFile`]): the new content is
+    /// written to a tmp sibling, fsynced there, and renamed over `path`
     /// (with a directory fsync), so a crash at any byte offset leaves
     /// either the old log or the new one fully loadable — never a spliced
     /// hybrid. The returned handle replaces any prior [`Aof`] for `path`:
@@ -193,22 +141,13 @@ impl Aof {
     /// snapshot or checkpoint covering its seq) before calling; the
     /// rewrite itself never checks that (DESIGN.md invariant 12).
     pub fn rewrite(path: &Path, entries: &[LogEntry], policy: FsyncPolicy) -> std::io::Result<Aof> {
-        let tmp = path.with_extension("rewrite");
-        {
-            let mut f = File::create(&tmp)?;
-            let mut buf = BytesMut::new();
-            for e in entries {
-                write_frame(&e.to_bytes(), &mut buf);
-            }
-            f.write_all(&buf)?;
-            f.sync_data()?;
+        let mut buf = BytesMut::new();
+        for e in entries {
+            write_frame(&e.to_bytes(), &mut buf);
         }
-        std::fs::rename(&tmp, path)?;
-        if policy != FsyncPolicy::Never {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                fsync_dir(dir)?;
-            }
-        }
+        let level =
+            if policy == FsyncPolicy::Never { SyncLevel::Data } else { SyncLevel::DataAndDir };
+        AtomicFile::replace(path, level, |f| f.write_all(&buf))?;
         let mut aof = Aof::open(path, policy)?;
         // The renamed content is already durable; report it as such so a
         // caller's "synced entries" accounting starts from the rewrite.
@@ -223,22 +162,25 @@ impl Aof {
     /// written after leftover torn bytes hides behind their stale length
     /// prefix and turns the *next* load into phantom entries or a
     /// corruption error.
-    pub fn truncate_to_clean(path: &Path, outcome: &LoadOutcome) -> std::io::Result<()> {
-        if !outcome.truncated {
-            return Ok(());
+    pub fn truncate_to_clean(
+        path: &Path,
+        outcome: &FramesOutcome<LogEntry>,
+    ) -> std::io::Result<()> {
+        if outcome.truncated {
+            open_for_append(path, Some(outcome.clean_len), false)?;
         }
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(outcome.clean_len)?;
-        f.sync_data()
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TempDir;
     use bytes::Bytes;
     use curp_proto::op::{Op, OpResult};
     use curp_proto::types::{ClientId, RpcId};
+    use std::fs::OpenOptions;
 
     fn entry(seq: u64) -> LogEntry {
         LogEntry {
@@ -249,16 +191,10 @@ mod tests {
         }
     }
 
-    fn tmpfile(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("curp-aof-test-{}-{}", std::process::id(), name));
-        let _ = std::fs::remove_file(&p);
-        p
-    }
-
     #[test]
     fn append_and_load() {
-        let path = tmpfile("roundtrip");
+        let dir = TempDir::new("curp-aof-test").unwrap();
+        let path = dir.path().join("roundtrip");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
             for i in 0..10 {
@@ -268,15 +204,15 @@ mod tests {
             assert_eq!(aof.synced(), 10);
         }
         let loaded = Aof::load(&path).unwrap();
-        assert_eq!(loaded.entries.len(), 10);
-        assert_eq!(loaded.entries[3], entry(3));
+        assert_eq!(loaded.records.len(), 10);
+        assert_eq!(loaded.records[3], entry(3));
         assert!(!loaded.truncated, "clean file must not report a torn tail");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn batch_append_counts() {
-        let path = tmpfile("batch");
+        let dir = TempDir::new("curp-aof-test").unwrap();
+        let path = dir.path().join("batch");
         let mut aof = Aof::open(&path, FsyncPolicy::Manual).unwrap();
         let batch: Vec<_> = (0..5).map(entry).collect();
         aof.append_batch(&batch).unwrap();
@@ -284,13 +220,13 @@ mod tests {
         assert_eq!(aof.synced(), 0, "manual policy defers fsync");
         aof.sync().unwrap();
         assert_eq!(aof.synced(), 5);
-        assert_eq!(Aof::load(&path).unwrap().entries.len(), 5);
-        std::fs::remove_file(&path).unwrap();
+        assert_eq!(Aof::load(&path).unwrap().records.len(), 5);
     }
 
     #[test]
     fn never_policy_never_reports_synced() {
-        let path = tmpfile("never");
+        let dir = TempDir::new("curp-aof-test").unwrap();
+        let path = dir.path().join("never");
         let mut aof = Aof::open(&path, FsyncPolicy::Never).unwrap();
         for i in 0..4 {
             aof.append(&entry(i)).unwrap();
@@ -298,20 +234,21 @@ mod tests {
         aof.sync().unwrap();
         assert_eq!(aof.appended(), 4);
         assert_eq!(aof.synced(), 0, "no fsync happened, so nothing is durable");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_loads_empty() {
-        let path = tmpfile("missing");
+        let dir = TempDir::new("curp-aof-test").unwrap();
+        let path = dir.path().join("missing");
         let loaded = Aof::load(&path).unwrap();
-        assert!(loaded.entries.is_empty());
+        assert!(loaded.records.is_empty());
         assert!(!loaded.truncated);
     }
 
     #[test]
     fn torn_tail_is_discarded() {
-        let path = tmpfile("torn");
+        let dir = TempDir::new("curp-aof-test").unwrap();
+        let path = dir.path().join("torn");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
             for i in 0..3 {
@@ -324,14 +261,14 @@ mod tests {
         f.set_len(len - 20).unwrap();
         drop(f);
         let loaded = Aof::load(&path).unwrap();
-        assert_eq!(loaded.entries.len(), 2, "torn third record dropped");
+        assert_eq!(loaded.records.len(), 2, "torn third record dropped");
         assert!(loaded.truncated, "the tear must be reported");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn mid_log_corruption_is_an_error_not_a_truncation() {
-        let path = tmpfile("midlog");
+        let dir = TempDir::new("curp-aof-test").unwrap();
+        let path = dir.path().join("midlog");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
             for i in 0..3 {
@@ -347,12 +284,12 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         let err = Aof::load(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn corrupt_length_prefix_is_an_error() {
-        let path = tmpfile("badlen");
+        let dir = TempDir::new("curp-aof-test").unwrap();
+        let path = dir.path().join("badlen");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
             aof.append(&entry(0)).unwrap();
@@ -364,12 +301,12 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         let err = Aof::load(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn reopen_appends_after_existing_entries() {
-        let path = tmpfile("reopen");
+        let dir = TempDir::new("curp-aof-test").unwrap();
+        let path = dir.path().join("reopen");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
             aof.append(&entry(0)).unwrap();
@@ -379,8 +316,7 @@ mod tests {
             aof.append(&entry(1)).unwrap();
         }
         let loaded = Aof::load(&path).unwrap();
-        assert_eq!(loaded.entries.len(), 2);
-        assert_eq!(loaded.entries[1].seq, 1);
-        std::fs::remove_file(&path).unwrap();
+        assert_eq!(loaded.records.len(), 2);
+        assert_eq!(loaded.records[1].seq, 1);
     }
 }

@@ -25,16 +25,21 @@
 //! without per-record checksums — this loader detects torn writes and
 //! payload corruption, not adversarial in-place media corruption.
 //!
+//! The *write* half lives here too, so every durable file is produced by
+//! the same two code paths: [`AtomicFile`] (whole-file replacement) and
+//! [`open_for_append`] (cut a torn tail, reopen the log).
+//!
 //! [`write_frame`]: curp_proto::frame::write_frame
 
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::Read;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use curp_proto::frame::FrameDecoder;
 
 /// What [`decode_frames`] found in a raw log byte stream.
+#[must_use = "recovery must inspect how much of the log survived"]
 #[derive(Debug, Default)]
 pub struct FramesOutcome<T> {
     /// Every record of the clean prefix, in append order.
@@ -46,6 +51,135 @@ pub struct FramesOutcome<T> {
     pub truncated: bool,
     /// Byte length of the clean prefix (`records` re-encoded).
     pub clean_len: u64,
+}
+
+/// Fsyncs `dir` itself, making directory-entry mutations (file creation,
+/// rename) durable. On ext4/xfs a file whose *contents* were fsynced can
+/// still vanish in a power loss if the directory entry pointing at it was
+/// never flushed — every durable-creation path must call this.
+pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+fn fsync_parent(path: &Path) -> std::io::Result<()> {
+    match path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        Some(dir) => fsync_dir(dir),
+        None => Ok(()),
+    }
+}
+
+/// How much of an [`AtomicFile::commit`] is forced to stable storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncLevel {
+    /// Rename only: a rebuildable cache whose owner opted out of fsync.
+    None,
+    /// `sync_data` before the rename; the caller flushes the directory
+    /// itself after further directory mutations, or has waived it.
+    Data,
+    /// `sync_data`, rename, then fsync the parent directory.
+    DataAndDir,
+}
+
+/// A file being written for atomic replacement of `path`: content goes to
+/// a tmp sibling and [`commit`](Self::commit) renames it over `path`, so a
+/// crash at any byte offset leaves the old file or the new one, never a
+/// splice. Dropping an uncommitted writer (error, panic, abandoned merge)
+/// removes the tmp; one stranded by a *crash* is dead bytes that recovery
+/// drops with [`discard_stale`](Self::discard_stale).
+#[derive(Debug)]
+pub struct AtomicFile {
+    path: PathBuf,
+    tmp: PathBuf,
+    file: File,
+    committed: bool,
+}
+
+impl AtomicFile {
+    /// The tmp sibling of `path`: the full file name plus `.tmp`, so targets
+    /// differing only in extension (`master-1.snap`/`.fence`) never share one.
+    pub fn tmp_path(path: &Path) -> PathBuf {
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(".tmp");
+        path.with_file_name(name)
+    }
+
+    /// Starts a replacement of `path` (truncating any stale tmp).
+    pub fn create(path: impl Into<PathBuf>) -> std::io::Result<AtomicFile> {
+        let path = path.into();
+        let tmp = Self::tmp_path(&path);
+        let file = File::create(&tmp)?;
+        Ok(AtomicFile { path, tmp, file, committed: false })
+    }
+
+    /// The tmp file, for writing (and seeking back to fix up a header).
+    pub fn file(&mut self) -> &mut File {
+        &mut self.file
+    }
+
+    /// Makes the written content the new `path`: `sync_data` → rename →
+    /// directory fsync, each step per `level`.
+    pub fn commit(mut self, level: SyncLevel) -> std::io::Result<()> {
+        if level != SyncLevel::None {
+            self.file.sync_data()?;
+        }
+        std::fs::rename(&self.tmp, &self.path)?;
+        self.committed = true;
+        if level == SyncLevel::DataAndDir {
+            fsync_parent(&self.path)?;
+        }
+        Ok(())
+    }
+
+    /// One-shot form: replaces `path` with whatever `write` produces.
+    pub fn replace(
+        path: &Path,
+        level: SyncLevel,
+        write: impl FnOnce(&mut File) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let mut out = AtomicFile::create(path)?;
+        write(&mut out.file)?;
+        out.commit(level)
+    }
+
+    /// Removes the tmp a crash mid-replacement may have stranded beside `path`.
+    pub fn discard_stale(path: &Path) -> std::io::Result<()> {
+        match std::fs::remove_file(Self::tmp_path(path)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl Drop for AtomicFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = std::fs::remove_file(&self.tmp);
+        }
+    }
+}
+
+/// Opens the framed log at `path` for appending, creating it if missing.
+/// `clean_len` is `Some` when a load reported a torn tail: the file is
+/// first cut back to that prefix and the cut fsynced (see
+/// [`FramesOutcome::truncated`]). With `sync_created`, a new file's
+/// directory entry is made durable too: an fsynced log that can vanish
+/// with its directory entry is not a log.
+pub fn open_for_append(
+    path: &Path,
+    clean_len: Option<u64>,
+    sync_created: bool,
+) -> std::io::Result<File> {
+    if let Some(len) = clean_len {
+        let f = OpenOptions::new().write(true).open(path)?;
+        f.set_len(len)?;
+        f.sync_data()?;
+    }
+    let created = !path.exists();
+    let file = OpenOptions::new().create(true).append(true).open(path)?;
+    if created && sync_created {
+        fsync_parent(path)?;
+    }
+    Ok(file)
 }
 
 /// Reads and decodes the log at `path`; a missing file is an empty log.
@@ -188,6 +322,27 @@ mod tests {
         raw.extend_from_slice(b"junk");
         let err = decode_frames(&raw, "", utf8).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn failed_replace_leaves_the_old_file_and_no_tmp() {
+        use std::io::Write;
+        let dir = crate::TempDir::new("curp-frames-test").unwrap();
+        let path = dir.path().join("log.aof");
+        std::fs::write(&path, b"old content").unwrap();
+        let err = AtomicFile::replace(&path, SyncLevel::DataAndDir, |f| {
+            f.write_all(b"half of the new con")?;
+            Err(std::io::Error::other("disk full"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(std::fs::read(&path).unwrap(), b"old content");
+        assert!(!AtomicFile::tmp_path(&path).exists(), "a failed writer must remove its tmp");
+        // A crash (no destructor) strands the tmp; recovery discards it.
+        std::fs::write(AtomicFile::tmp_path(&path), b"torn").unwrap();
+        AtomicFile::discard_stale(&path).unwrap();
+        AtomicFile::discard_stale(&path).unwrap(); // idempotent
+        assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 1);
     }
 
     #[test]

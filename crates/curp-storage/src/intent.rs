@@ -14,21 +14,21 @@
 //! record — `Begin` (opens a plan, carries an opaque payload describing it),
 //! `Step` (one orchestration step's payload), or `Close` (the plan is done
 //! or deliberately aborted). On open, fully closed plans are compacted away
-//! by rewriting the log through a tmp+fsync+rename, the same
+//! by rewriting the log through [`AtomicFile`], the same
 //! replace-atomically discipline the snapshot files use.
 //!
 //! The journal stores opaque byte payloads: the *meaning* of a plan lives
 //! with its owner (the coordinator), which keeps this layer reusable and
 //! trivially testable.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use bytes::BytesMut;
 use curp_proto::frame::write_frame;
 
-use crate::aof::fsync_dir;
+use crate::frames::{load_framed, open_for_append, AtomicFile, SyncLevel};
 
 const TAG_BEGIN: u8 = 1;
 const TAG_STEP: u8 = 2;
@@ -65,10 +65,14 @@ impl IntentLog {
     /// journal and every plan left open by a previous incarnation.
     ///
     /// A torn final record (crash mid-append) is cut off; closed plans are
-    /// compacted away via tmp+fsync+rename so the log stays bounded by the
+    /// compacted away via [`AtomicFile`] so the log stays bounded by the
     /// in-flight plan count, not cluster lifetime.
     pub fn open(path: &Path) -> std::io::Result<(IntentLog, Vec<OpenPlan>)> {
-        let records = Self::load(path)?;
+        // The shared framed-log reader supplies the torn-tail-vs-corruption
+        // rule; only the record codec is intent-specific.
+        let records =
+            load_framed(path, "intent", |frame| decode_record(&frame).ok_or_else(String::new))?
+                .records;
         let mut open: Vec<OpenPlan> = Vec::new();
         let mut max_id = 0u64;
         for (tag, id, payload) in &records {
@@ -88,23 +92,14 @@ impl IntentLog {
         }
         // Compact: rewrite only the open plans' records, replace atomically.
         // Also heals a torn tail (the rewrite simply omits it).
-        let tmp = path.with_extension("tmp");
         let mut buf = BytesMut::new();
         for (tag, id, payload) in &records {
             if open.iter().any(|p| p.id == *id) {
                 write_frame(&encode_record(*tag, *id, payload), &mut buf);
             }
         }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            fsync_dir(dir)?;
-        }
-        let file = OpenOptions::new().append(true).open(path)?;
+        AtomicFile::replace(path, SyncLevel::DataAndDir, |f| f.write_all(&buf))?;
+        let file = open_for_append(path, None, false)?;
         Ok((
             IntentLog {
                 path: path.to_path_buf(),
@@ -170,19 +165,6 @@ impl IntentLog {
         self.recorded += 1;
         Ok(())
     }
-
-    /// Decodes every complete record at `path`. A missing file is an empty
-    /// log; a torn final record is dropped; a bad record with complete
-    /// frames after it is corruption ([`std::io::ErrorKind::InvalidData`]).
-    fn load(path: &Path) -> std::io::Result<Vec<(u8, u64, Vec<u8>)>> {
-        // The shared framed-log reader supplies the torn-tail-vs-corruption
-        // rule (same discipline as `Aof::load`); only the record codec is
-        // intent-specific.
-        let out = crate::frames::load_framed(path, "intent", |frame| {
-            decode_record(&frame).ok_or_else(String::new)
-        })?;
-        Ok(out.records)
-    }
 }
 
 fn encode_record(tag: u8, id: u64, payload: &[u8]) -> Vec<u8> {
@@ -208,17 +190,13 @@ fn decode_record(frame: &[u8]) -> Option<(u8, u64, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmplog(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("curp-intent-test-{}-{}", std::process::id(), name));
-        let _ = std::fs::remove_file(&p);
-        p
-    }
+    use crate::TempDir;
+    use std::fs::OpenOptions;
 
     #[test]
     fn begin_step_close_roundtrip() {
-        let path = tmplog("roundtrip");
+        let dir = TempDir::new("curp-intent-test").unwrap();
+        let path = dir.path().join("roundtrip");
         {
             let (mut log, open) = IntentLog::open(&path).unwrap();
             assert!(open.is_empty());
@@ -233,12 +211,12 @@ mod tests {
         assert_eq!(open.len(), 1, "closed plan compacted away");
         assert_eq!(open[0].begin, b"plan-b");
         assert!(open[0].steps.is_empty());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn open_plan_keeps_step_order() {
-        let path = tmplog("steps");
+        let dir = TempDir::new("curp-intent-test").unwrap();
+        let path = dir.path().join("steps");
         {
             let (mut log, _) = IntentLog::open(&path).unwrap();
             let id = log.begin(b"recover").unwrap();
@@ -252,12 +230,12 @@ mod tests {
             open[0].steps,
             vec![b"fence".to_vec(), b"witness".to_vec(), b"install".to_vec()]
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn plan_ids_stay_monotonic_across_reopen() {
-        let path = tmplog("monotonic");
+        let dir = TempDir::new("curp-intent-test").unwrap();
+        let path = dir.path().join("monotonic");
         let first = {
             let (mut log, _) = IntentLog::open(&path).unwrap();
             log.begin(b"p").unwrap()
@@ -267,12 +245,12 @@ mod tests {
             log.begin(b"q").unwrap()
         };
         assert!(second > first, "{second} must exceed {first}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_tail_is_dropped_and_healed() {
-        let path = tmplog("torn");
+        let dir = TempDir::new("curp-intent-test").unwrap();
+        let path = dir.path().join("torn");
         {
             let (mut log, _) = IntentLog::open(&path).unwrap();
             let id = log.begin(b"plan").unwrap();
@@ -289,12 +267,12 @@ mod tests {
         // The compaction rewrite healed the tear: a re-open sees clean state.
         let (_, open2) = IntentLog::open(&path).unwrap();
         assert_eq!(open2, open);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn mid_log_corruption_is_refused() {
-        let path = tmplog("midlog");
+        let dir = TempDir::new("curp-intent-test").unwrap();
+        let path = dir.path().join("midlog");
         {
             let (mut log, _) = IntentLog::open(&path).unwrap();
             let id = log.begin(b"plan-one").unwrap();
@@ -308,12 +286,12 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         let err = IntentLog::open(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn injected_fault_fails_without_writing() {
-        let path = tmplog("fault");
+        let dir = TempDir::new("curp-intent-test").unwrap();
+        let path = dir.path().join("fault");
         {
             let (mut log, _) = IntentLog::open(&path).unwrap();
             log.set_fail_after(Some(2));
@@ -325,15 +303,14 @@ mod tests {
         }
         let (_, open) = IntentLog::open(&path).unwrap();
         assert_eq!(open[0].steps, vec![b"ok-step".to_vec()], "failed record never hit disk");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_is_an_empty_log() {
-        let path = tmplog("missing");
+        let dir = TempDir::new("curp-intent-test").unwrap();
+        let path = dir.path().join("missing");
         let (log, open) = IntentLog::open(&path).unwrap();
         assert!(open.is_empty());
         assert_eq!(log.recorded(), 0);
-        std::fs::remove_file(&path).unwrap();
     }
 }

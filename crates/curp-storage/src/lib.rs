@@ -5,16 +5,15 @@
 //! locks, snapshot export, durable-frontier bookkeeping, quiesce) — plus
 //! two engines implementing it and the durable-log primitives they share:
 //!
-//! * [`ShardedStore`] — the in-memory engine: one [`Store`] key space per
-//!   shard behind its own lock, global atomic log counters, so commuting
+//! * [`ShardedStore`] — the in-memory engine: one key space per shard
+//!   behind its own lock, global atomic log counters, so commuting
 //!   operations (CURP's fast-path case, §4.3) execute without contending
-//!   on a single global lock.
+//!   on a single global lock; `ShardedStore::new(1)` is the single-owner
+//!   form.
 //! * [`TieredStore`] — the larger-than-memory engine: a `ShardedStore`
 //!   memtable over sorted-run files ([`RunFile`]) flushed in write
 //!   batches with the AOF frame/fsync discipline, a sparse index for
 //!   reads that miss the memtable, and background run merging.
-//! * [`Store`] — the single-space building block both engines are made
-//!   of (and the unit the snapshot codec round-trips through).
 //! * [`Aof`] — a Redis-style append-only file with configurable fsync
 //!   policy (§5.4), including crash-safe whole-log rewrite
 //!   ([`Aof::rewrite`]) for bounded-log compaction.
@@ -22,7 +21,8 @@
 //!   letting a coordinator that crashed mid-reconfiguration
 //!   resume-or-abort the in-flight plan on restart.
 //! * [`frames`] — the one torn-tail-vs-corruption framed-log reader all
-//!   of the above (and the witness journal in `curp-witness`) share.
+//!   of the above (and the witness journal in `curp-witness`) share, and
+//!   the one durable-file writer ([`AtomicFile`], [`open_for_append`]).
 //!
 //! Construction goes through [`StoreConfig`]: callers pick a shard count
 //! and optionally a tier, and get a `Box<dyn StateStore<_>>` without
@@ -42,12 +42,14 @@ use std::path::PathBuf;
 use bytes::Bytes;
 use curp_proto::op::Op;
 
-pub use aof::{fsync_dir, Aof, FsyncPolicy, LoadOutcome};
-pub use frames::{decode_frames, load_framed, FramesOutcome};
+pub use aof::{Aof, FsyncPolicy};
+pub use frames::{
+    decode_frames, fsync_dir, load_framed, open_for_append, AtomicFile, FramesOutcome, SyncLevel,
+};
 pub use intent::{IntentLog, OpenPlan};
 pub use runfile::{RunFile, RunRecord};
 pub use sharded::{ShardGuards, ShardedStore, DEFAULT_STORE_SHARDS};
-pub use store::{Object, Store, StoreExport, Value};
+pub use store::{Object, StoreExport, Value};
 pub use tempdir::TempDir;
 pub use tiered::TieredStore;
 
@@ -81,7 +83,7 @@ pub use tiered::TieredStore;
 ///   mutations strictly below `synced_pos` are eligible to leave memory.
 /// * **Durability**: background file writes (run flushes, merges) follow
 ///   the AOF discipline — framed records, fsync before the file is
-///   relied upon, tmp + rename for atomic replacement.
+///   relied upon, [`AtomicFile`] for atomic replacement.
 pub trait StateStore<Ext = ()>: Send + Sync {
     /// Number of shards keys are routed across.
     fn num_shards(&self) -> usize;
@@ -212,16 +214,6 @@ impl StoreConfig {
     /// contract, and construction is the config-error boundary.
     pub fn build<Ext: Default + Send + 'static>(&self) -> Box<dyn StateStore<Ext>> {
         self.wrap(ShardedStore::new(self.shards))
-    }
-
-    /// Builds a store from a recovered single-space [`Store`], preserving
-    /// log positions, the synced frontier, and unsynced-deletion
-    /// tombstones (mirrors [`ShardedStore::from_store`]).
-    pub fn build_from_store<Ext: Default + Send + 'static>(
-        &self,
-        store: Store,
-    ) -> Box<dyn StateStore<Ext>> {
-        self.wrap(ShardedStore::from_store(self.shards, store))
     }
 
     /// Builds a store from exported state; the result is entirely synced

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! The trailer lets [`RunFile::open`] find the index without scanning;
-//! writers emit to a `.tmp` sibling, fsync, and rename into place, so a
+//! writers go through [`AtomicFile`] (tmp sibling, fsync, rename), so a
 //! run path never names a partial file.
 //!
 //! ## Record semantics
@@ -48,7 +48,7 @@ use bytes::{Bytes, BytesMut};
 use curp_proto::frame::{write_frame, FrameDecoder};
 use curp_proto::wire::{Decode, Encode};
 
-use crate::aof::fsync_dir;
+use crate::frames::{AtomicFile, SyncLevel};
 use crate::store::Object;
 
 /// One sparse-index entry per this many records.
@@ -105,8 +105,9 @@ fn decode_record(frame: Bytes) -> Result<(Bytes, RunRecord), String> {
 /// (records produced incrementally, never all in memory at once).
 pub struct RunWriter {
     path: PathBuf,
-    tmp: PathBuf,
-    file: File,
+    /// An abandoned writer (merge error, caller drop) removes its tmp, so
+    /// no partial file is ever stranded.
+    out: AtomicFile,
     fsync: bool,
     /// Bytes written so far == offset of the next frame.
     offset: u64,
@@ -114,18 +115,6 @@ pub struct RunWriter {
     index: Vec<(Bytes, u64)>,
     last_key: Option<Bytes>,
     buf: BytesMut,
-    /// Set once the tmp file has been renamed into place; an abandoned
-    /// writer (merge error, caller drop) removes its tmp on drop so no
-    /// partial file is ever stranded.
-    finished: bool,
-}
-
-impl Drop for RunWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = std::fs::remove_file(&self.tmp);
-        }
-    }
 }
 
 impl RunWriter {
@@ -133,19 +122,15 @@ impl RunWriter {
     /// [`finish`](Self::finish).
     pub fn create(path: impl Into<PathBuf>, fsync: bool) -> std::io::Result<RunWriter> {
         let path = path.into();
-        let tmp = path.with_extension("tmp");
-        let file = File::create(&tmp)?;
         let mut w = RunWriter {
+            out: AtomicFile::create(&path)?,
             path,
-            tmp,
-            file,
             fsync,
             offset: 0,
             count: 0,
             index: Vec::new(),
             last_key: None,
             buf: BytesMut::new(),
-            finished: false,
         };
         // Placeholder header; rewritten with the real count in finish().
         // Writing it now keeps every record offset final as it is emitted.
@@ -159,7 +144,7 @@ impl RunWriter {
         count.encode(&mut payload);
         self.buf.clear();
         write_frame(&payload, &mut self.buf);
-        self.file.write_all(&self.buf)?;
+        self.out.file().write_all(&self.buf)?;
         if self.offset == 0 {
             self.offset = self.buf.len() as u64;
         }
@@ -182,7 +167,7 @@ impl RunWriter {
         }
         self.buf.clear();
         encode_record(&key, rec, &mut self.buf);
-        self.file.write_all(&self.buf)?;
+        self.out.file().write_all(&self.buf)?;
         self.offset += self.buf.len() as u64;
         self.count += 1;
         self.last_key = Some(key);
@@ -201,46 +186,35 @@ impl RunWriter {
         }
         self.buf.clear();
         write_frame(&payload, &mut self.buf);
-        self.file.write_all(&self.buf)?;
+        self.out.file().write_all(&self.buf)?;
         let mut trailer = [0u8; 16];
         trailer[..8].copy_from_slice(&index_offset.to_le_bytes());
         trailer[8..].copy_from_slice(&RUN_MAGIC.to_le_bytes());
-        self.file.write_all(&trailer)?;
+        self.out.file().write_all(&trailer)?;
         // Fix the record count in the header (same frame size: the count
         // field is fixed-width, so the placeholder and the real header
         // occupy identical bytes 0..offset_of_first_record).
         use std::io::Seek;
-        self.file.seek(std::io::SeekFrom::Start(0))?;
+        self.out.file().seek(std::io::SeekFrom::Start(0))?;
         let first_record_offset = {
             let mut payload = BytesMut::new();
             RUN_VERSION.encode(&mut payload);
             self.count.encode(&mut payload);
             let mut hdr = BytesMut::new();
             write_frame(&payload, &mut hdr);
-            self.file.write_all(&hdr)?;
+            self.out.file().write_all(&hdr)?;
             hdr.len() as u64
         };
-        if self.fsync {
-            self.file.sync_data()?;
-        }
-        std::fs::rename(&self.tmp, &self.path)?;
-        self.finished = true;
-        if self.fsync {
-            if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                fsync_dir(dir)?;
-            }
-        }
-        let file = File::open(&self.path)?;
-        let end = self.offset + self.buf.len() as u64 + 16;
+        self.out.commit(if self.fsync { SyncLevel::DataAndDir } else { SyncLevel::None })?;
         Ok(RunFile {
-            path: std::mem::take(&mut self.path),
-            file,
-            index: std::mem::take(&mut self.index),
+            file: File::open(&self.path)?,
+            path: self.path,
+            index: self.index,
             count: self.count,
             data_start: first_record_offset,
             index_offset,
-            file_len: end,
-            last_key: self.last_key.take(),
+            file_len: self.offset + self.buf.len() as u64 + 16,
+            last_key: self.last_key,
         })
     }
 }

@@ -24,13 +24,13 @@
 //! ## Determinism
 //!
 //! Fed the same operation sequence one at a time, a `ShardedStore` produces
-//! byte-identical results, versions, log positions, and exports as the
-//! single-space [`Store`] — both engines execute through the same
-//! (crate-private) `KeySpace` code, and the proptest suite pins the
-//! equivalence. Under
-//! concurrent execution, positions interleave nondeterministically *across*
-//! shards but stay ordered within each key, which is all the §4.3 unsynced
-//! check needs.
+//! byte-identical results, versions, log positions, and exports whatever
+//! its shard count — every shard executes through the same (crate-private)
+//! `KeySpace` code, and the proptest suite pins "N shards ≡ 1 shard"
+//! (with `ShardedStore::new(1)` itself pinned against an independent naive
+//! specification). Under concurrent execution, positions interleave
+//! nondeterministically *across* shards but stay ordered within each key,
+//! which is all the §4.3 unsynced check needs.
 //!
 //! The `Ext` type parameter lets an embedding layer (the CURP master) keep
 //! its own per-shard state — pending log tail, hot-key history — inside the
@@ -45,7 +45,7 @@ use curp_proto::op::{Op, OpResult};
 use curp_proto::types::KeyHash;
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::store::{KeySpace, Object, Store, StoreExport, Value};
+use crate::store::{KeySpace, Object, StoreExport, Value};
 
 /// Default shard count for the execution engine: enough to make commuting
 /// operations contention-free across a typical worker pool while keeping
@@ -57,7 +57,8 @@ struct Shard<Ext> {
     ext: Ext,
 }
 
-/// A key-hash-sharded [`Store`]: same semantics, per-shard locking.
+/// The key-hash-sharded object store; `ShardedStore::new(1)` is the
+/// single-owner form (one key space, no routing).
 ///
 /// All methods take `&self`; concurrent callers serialize only when their
 /// operations touch the same shard. See the module docs for the locking
@@ -96,9 +97,10 @@ impl<Ext: Default> ShardedStore<Ext> {
         }
     }
 
-    /// Rebuilds a store from exported state, mirroring [`Store::import`]:
-    /// the result is entirely synced (`log_head == synced_pos == 1`, every
-    /// object at `write_pos == 0`).
+    /// Rebuilds a store from exported state. The imported state is entirely
+    /// *synced* (it came from a backup): `log_head == synced_pos == 1` and
+    /// every object carries `write_pos == 0`, so nothing reads as unsynced
+    /// until the first new mutation.
     pub fn import(
         num_shards: usize,
         objects: Vec<(Bytes, Object)>,
@@ -118,28 +120,6 @@ impl<Ext: Default> ShardedStore<Ext> {
         store.synced_pos.store(1, Ordering::SeqCst);
         store
     }
-
-    /// Re-shards a single-space [`Store`] (recovered snapshot, migration
-    /// input) into `num_shards` shards, preserving log positions, the
-    /// synced frontier, and unsynced-deletion tombstones.
-    pub fn from_store(num_shards: usize, store: Store) -> Self {
-        let sharded = Self::new(num_shards);
-        sharded.log_head.store(store.log_head, Ordering::SeqCst);
-        sharded.synced_pos.store(store.synced_pos, Ordering::SeqCst);
-        for (k, o) in store.space.objects {
-            let shard = KeyHash::of(&k).shard(num_shards);
-            sharded.shards[shard].lock().space.objects.insert(k, o);
-        }
-        for (k, v) in store.space.dead_versions {
-            let shard = KeyHash::of(&k).shard(num_shards);
-            sharded.shards[shard].lock().space.dead_versions.insert(k, v);
-        }
-        for (k, p) in store.space.tombstones {
-            let shard = KeyHash::of(&k).shard(num_shards);
-            sharded.shards[shard].lock().space.tombstones.insert(k, p);
-        }
-        sharded
-    }
 }
 
 impl<Ext> ShardedStore<Ext> {
@@ -150,6 +130,10 @@ impl<Ext> ShardedStore<Ext> {
 
     /// The shard index `key` routes to.
     pub fn shard_of(&self, key: &[u8]) -> usize {
+        // The single-owner form has nothing to route: skip the hash.
+        if self.shards.len() == 1 {
+            return 0;
+        }
         KeyHash::of(key).shard(self.shards.len())
     }
 
@@ -194,8 +178,7 @@ impl<Ext> ShardedStore<Ext> {
     /// shard count.
     pub fn lock(&self, shard_set: &[usize]) -> ShardGuards<'_, Ext> {
         let repr = match *shard_set {
-            [] => GuardsRepr::None,
-            [s] => GuardsRepr::One(s, self.shards[s].lock()),
+            [s] => GuardsRepr::One((s, self.shards[s].lock())),
             ref set => {
                 let mut guards = Vec::with_capacity(set.len());
                 let mut prev = None;
@@ -236,7 +219,7 @@ impl<Ext> ShardedStore<Ext> {
                 // lint: audited-unwrap — guarded by the multi_key match arm above
                 let key = op.keys().next().expect("single-key op has a key");
                 let s = self.shard_of(key);
-                ShardGuards { store: self, repr: GuardsRepr::One(s, self.shards[s].lock()) }
+                ShardGuards { store: self, repr: GuardsRepr::One((s, self.shards[s].lock())) }
             }
         }
     }
@@ -305,11 +288,13 @@ impl<Ext> std::fmt::Debug for ShardedStore<Ext> {
     }
 }
 
+/// One held shard: its index and its lock guard.
+type Held<'a, Ext> = (usize, MutexGuard<'a, Shard<Ext>>);
+
 enum GuardsRepr<'a, Ext> {
-    None,
     /// Single-key fast path: no heap allocation for the guard set.
-    One(usize, MutexGuard<'a, Shard<Ext>>),
-    Many(Vec<(usize, MutexGuard<'a, Shard<Ext>>)>),
+    One(Held<'a, Ext>),
+    Many(Vec<Held<'a, Ext>>),
 }
 
 /// A locked set of shards, acquired in ascending index order.
@@ -325,34 +310,37 @@ pub struct ShardGuards<'a, Ext> {
 }
 
 impl<'a, Ext> ShardGuards<'a, Ext> {
-    /// Whether every shard of the store is held.
-    fn holds_all(&self) -> bool {
+    /// The held shards, in ascending index order.
+    fn held(&self) -> &[Held<'a, Ext>] {
         match &self.repr {
-            GuardsRepr::Many(v) => v.len() == self.store.shards.len(),
-            GuardsRepr::One(..) => self.store.shards.len() == 1,
-            GuardsRepr::None => self.store.shards.is_empty(),
+            GuardsRepr::One(h) => std::slice::from_ref(h),
+            GuardsRepr::Many(v) => v,
         }
     }
 
+    fn held_mut(&mut self) -> &mut [Held<'a, Ext>] {
+        match &mut self.repr {
+            GuardsRepr::One(h) => std::slice::from_mut(h),
+            GuardsRepr::Many(v) => v,
+        }
+    }
+
+    /// Whether every shard of the store is held.
+    fn holds_all(&self) -> bool {
+        self.held().len() == self.store.shards.len()
+    }
+
     fn shard(&self, idx: usize) -> &Shard<Ext> {
-        match &self.repr {
-            GuardsRepr::One(s, g) if *s == idx => g,
-            GuardsRepr::Many(v) => match v.iter().find(|(s, _)| *s == idx) {
-                Some((_, g)) => g,
-                None => panic!("operation touched shard {idx} outside its lock set"),
-            },
-            _ => panic!("operation touched shard {idx} outside its lock set"),
+        match self.held().iter().find(|(s, _)| *s == idx) {
+            Some((_, g)) => g,
+            None => panic!("operation touched shard {idx} outside its lock set"),
         }
     }
 
     fn shard_mut(&mut self, idx: usize) -> &mut Shard<Ext> {
-        match &mut self.repr {
-            GuardsRepr::One(s, g) if *s == idx => g,
-            GuardsRepr::Many(v) => match v.iter_mut().find(|(s, _)| *s == idx) {
-                Some((_, g)) => g,
-                None => panic!("operation touched shard {idx} outside its lock set"),
-            },
-            _ => panic!("operation touched shard {idx} outside its lock set"),
+        match self.held_mut().iter_mut().find(|(s, _)| *s == idx) {
+            Some((_, g)) => g,
+            None => panic!("operation touched shard {idx} outside its lock set"),
         }
     }
 
@@ -433,11 +421,7 @@ impl<'a, Ext> ShardGuards<'a, Ext> {
 
     /// Visits `(shard index, ext)` for every held shard, in ascending order.
     pub fn for_each_ext_mut(&mut self, mut f: impl FnMut(usize, &mut Ext)) {
-        match &mut self.repr {
-            GuardsRepr::None => {}
-            GuardsRepr::One(s, g) => f(*s, &mut g.ext),
-            GuardsRepr::Many(v) => v.iter_mut().for_each(|(s, g)| f(*s, &mut g.ext)),
-        }
+        self.held_mut().iter_mut().for_each(|(s, g)| f(*s, &mut g.ext));
     }
 
     /// Marks every mutation with position `< pos` as synced. Requires all
@@ -451,7 +435,7 @@ impl<'a, Ext> ShardGuards<'a, Ext> {
         assert!(pos <= self.store.log_head(), "cannot sync beyond the log head");
         assert!(pos >= self.store.synced_pos(), "synced position cannot move backwards");
         self.store.synced_pos.store(pos, Ordering::SeqCst);
-        self.for_each_shard_mut(|shard| shard.space.prune_tombstones(pos));
+        self.for_each_space_mut(|_, space| space.prune_tombstones(pos));
     }
 
     /// Exports the held shards' state in deterministic (sorted) order.
@@ -460,7 +444,7 @@ impl<'a, Ext> ShardGuards<'a, Ext> {
         assert!(self.holds_all(), "export requires all shards locked");
         let mut objects = Vec::new();
         let mut dead = Vec::new();
-        self.for_each_shard(|shard| shard.space.export_into(&mut objects, &mut dead));
+        self.held().iter().for_each(|(_, g)| g.space.export_into(&mut objects, &mut dead));
         objects.sort_by(|a, b| a.0.cmp(&b.0));
         dead.sort_by(|a, b| a.0.cmp(&b.0));
         (objects, dead)
@@ -473,9 +457,7 @@ impl<'a, Ext> ShardGuards<'a, Ext> {
         assert!(!self.store.has_unsynced(), "must sync before migrating data out");
         let mut objects = Vec::new();
         let mut dead = Vec::new();
-        self.for_each_shard_mut(|shard| {
-            shard.space.split_off_into(belongs, &mut objects, &mut dead)
-        });
+        self.for_each_space_mut(|_, space| space.split_off_into(belongs, &mut objects, &mut dead));
         objects.sort_by(|a, b| a.0.cmp(&b.0));
         dead.sort_by(|a, b| a.0.cmp(&b.0));
         (objects, dead)
@@ -502,27 +484,7 @@ impl<'a, Ext> ShardGuards<'a, Ext> {
     /// Crate-internal: visits `(shard index, key space)` for every held
     /// shard in ascending order (tiered flush/absorb).
     pub(crate) fn for_each_space_mut(&mut self, mut f: impl FnMut(usize, &mut KeySpace)) {
-        match &mut self.repr {
-            GuardsRepr::None => {}
-            GuardsRepr::One(s, g) => f(*s, &mut g.space),
-            GuardsRepr::Many(v) => v.iter_mut().for_each(|(s, g)| f(*s, &mut g.space)),
-        }
-    }
-
-    fn for_each_shard(&self, mut f: impl FnMut(&Shard<Ext>)) {
-        match &self.repr {
-            GuardsRepr::None => {}
-            GuardsRepr::One(_, g) => f(g),
-            GuardsRepr::Many(v) => v.iter().for_each(|(_, g)| f(g)),
-        }
-    }
-
-    fn for_each_shard_mut(&mut self, mut f: impl FnMut(&mut Shard<Ext>)) {
-        match &mut self.repr {
-            GuardsRepr::None => {}
-            GuardsRepr::One(_, g) => f(g),
-            GuardsRepr::Many(v) => v.iter_mut().for_each(|(_, g)| f(g)),
-        }
+        self.held_mut().iter_mut().for_each(|(s, g)| f(*s, &mut g.space));
     }
 }
 
@@ -599,7 +561,7 @@ mod tests {
     #[test]
     fn matches_single_space_store_sequentially() {
         let sharded: ShardedStore = ShardedStore::new(4);
-        let mut single = Store::new();
+        let single: ShardedStore = ShardedStore::new(1);
         let ops = [
             Op::Put { key: b("a"), value: b("1") },
             Op::Incr { key: b("c"), delta: 3 },
@@ -625,9 +587,7 @@ mod tests {
         let shard = store.shard_of(b"k");
         // Every other shard stays empty.
         for i in 0..8 {
-            let guards = store.lock(&[i]);
-            let mut count = 0;
-            guards.for_each_shard(|s| count = s.space.objects.len());
+            let count = store.lock(&[i]).shard(i).space.objects.len();
             assert_eq!(count, usize::from(i == shard));
         }
     }
@@ -689,12 +649,12 @@ mod tests {
 
     #[test]
     fn import_mirrors_store_import() {
-        let mut single = Store::new();
+        let single: ShardedStore = ShardedStore::new(1);
         single.execute(&Op::Put { key: b("a"), value: b("1") });
         single.execute(&Op::Incr { key: b("c"), delta: 7 });
         single.execute(&Op::Delete { key: b("dead") });
         let (objects, dead) = single.export();
-        let from_single = Store::import(objects.clone(), dead.clone());
+        let from_single: ShardedStore = ShardedStore::import(1, objects.clone(), dead.clone());
         let sharded: ShardedStore = ShardedStore::import(4, objects, dead);
         assert!(!sharded.has_unsynced(), "imported state must be fully synced");
         assert_eq!(sharded.log_head(), from_single.log_head());
@@ -703,25 +663,9 @@ mod tests {
     }
 
     #[test]
-    fn from_store_preserves_unsynced_state() {
-        let mut single = Store::new();
-        single.execute(&Op::Put { key: b("a"), value: b("1") });
-        single.mark_synced(1);
-        single.execute(&Op::Put { key: b("b"), value: b("2") });
-        single.execute(&Op::Delete { key: b("a") });
-        let sharded: ShardedStore = ShardedStore::from_store(4, single.clone());
-        assert_eq!(sharded.log_head(), single.log_head());
-        assert_eq!(sharded.synced_pos(), single.synced_pos());
-        for k in [&b"a"[..], b"b", b"never"] {
-            assert_eq!(sharded.is_unsynced(k), single.is_unsynced(k), "key {k:?}");
-        }
-        assert_eq!(sharded.export(), single.export());
-    }
-
-    #[test]
     fn split_off_partitions_like_store() {
         let sharded: ShardedStore = ShardedStore::new(4);
-        let mut single = Store::new();
+        let single: ShardedStore = ShardedStore::new(1);
         for i in 0..32 {
             let op = Op::Put { key: b(&format!("k{i}")), value: b("v") };
             sharded.execute(&op);

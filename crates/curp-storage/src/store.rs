@@ -1,4 +1,4 @@
-//! In-memory, log-position-tracking object store.
+//! The in-memory, log-position-tracking key space.
 //!
 //! Models RAMCloud's log-structured memory closely enough for CURP: every
 //! mutation is assigned a monotonically increasing log position and the
@@ -9,10 +9,10 @@
 //! synced or not by comparing its position in the log against the last
 //! synced position."*
 //!
-//! The store is deterministic: executing the same operation sequence on two
-//! stores yields identical state and identical results. Backups and recovery
-//! masters rely on this to rebuild state by replaying the replicated
-//! operation log.
+//! Execution is deterministic: the same operation sequence on two key
+//! spaces yields identical state and identical results. Backups and
+//! recovery masters rely on this to rebuild state by replaying the
+//! replicated operation log.
 
 use std::collections::{HashMap, HashSet};
 
@@ -54,11 +54,10 @@ pub type StoreExport = (Vec<(Bytes, Object)>, Vec<(Bytes, u64)>);
 
 /// One key space: the per-key state of a store *without* the log counters.
 ///
-/// [`Store`] owns exactly one key space plus a local position counter; the
-/// sharded engine ([`ShardedStore`](crate::sharded::ShardedStore)) owns one
-/// key space per shard behind its own lock, all sharing a global atomic
+/// The engine ([`ShardedStore`](crate::sharded::ShardedStore)) owns one key
+/// space per shard behind its own lock, all sharing a global atomic
 /// position counter. Every mutation path is written once, here, against an
-/// injected position allocator, so the two engines cannot drift.
+/// injected position allocator.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct KeySpace {
     pub(crate) objects: HashMap<Bytes, Object>,
@@ -71,10 +70,18 @@ pub(crate) struct KeySpace {
 
 impl KeySpace {
     /// Executes `op` against this key space, drawing log positions from
-    /// `next_pos` only for successful mutations (see [`Store::execute`] for
-    /// the contract). `MultiPut` writes every pair into *this* space — the
-    /// sharded engine routes each pair itself and never sends a multi-key op
-    /// here.
+    /// `next_pos` only for successful mutations: failed operations (wrong
+    /// type, failed conditional) do not mutate state and do not consume a
+    /// log position, so a log of *executed* mutations replays to identical
+    /// state. `MultiPut` writes every pair into *this* space — the sharded
+    /// engine routes each pair itself and never sends a multi-key op here.
+    ///
+    /// Typed mutations (`HSet`/`ListPush`/`SetAdd`/`Incr`) update the stored
+    /// collection *in place* — O(1) amortized per mutation, like Redis —
+    /// rather than clone-modify-reinsert. The live-key invariant makes this
+    /// safe: a key present in `objects` never appears in `dead_versions` or
+    /// `tombstones` (writes purge both; deletes remove the object first),
+    /// so the in-place path can skip those purges.
     pub(crate) fn execute(&mut self, op: &Op, next_pos: &mut impl FnMut() -> u64) -> OpResult {
         match op {
             Op::Get { key } => match self.objects.get(key).map(|o| &o.value) {
@@ -282,149 +289,6 @@ impl KeySpace {
     }
 }
 
-/// The object store. See the module docs.
-#[derive(Debug, Default, Clone)]
-pub struct Store {
-    pub(crate) space: KeySpace,
-    /// Next log position to assign (== number of mutations executed).
-    pub(crate) log_head: u64,
-    /// All mutations with `write_pos < synced_pos` are replicated to backups.
-    pub(crate) synced_pos: u64,
-}
-
-impl Store {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Store::default()
-    }
-
-    /// Number of live objects.
-    pub fn len(&self) -> usize {
-        self.space.objects.len()
-    }
-
-    /// Whether the store holds no live objects.
-    pub fn is_empty(&self) -> bool {
-        self.space.objects.is_empty()
-    }
-
-    /// Next log position to be assigned; equals the count of mutations
-    /// executed so far.
-    pub fn log_head(&self) -> u64 {
-        self.log_head
-    }
-
-    /// The position up to which mutations are known durable on backups.
-    pub fn synced_pos(&self) -> u64 {
-        self.synced_pos
-    }
-
-    /// Marks every mutation with position `< pos` as synced.
-    ///
-    /// Called by the master after a successful backup sync. `pos` may not
-    /// exceed [`log_head`](Self::log_head) and may not move backwards.
-    pub fn mark_synced(&mut self, pos: u64) {
-        assert!(pos <= self.log_head, "cannot sync beyond the log head");
-        assert!(pos >= self.synced_pos, "synced position cannot move backwards");
-        self.synced_pos = pos;
-        self.space.prune_tombstones(pos);
-    }
-
-    /// Returns `true` if the store has speculative (unsynced) mutations.
-    pub fn has_unsynced(&self) -> bool {
-        self.synced_pos < self.log_head
-    }
-
-    /// Returns `true` if `key`'s last mutation has not been synced.
-    ///
-    /// This is the §4.3 check. Keys that were never written are synced by
-    /// definition; deletion is a mutation, tracked via tombstones.
-    pub fn is_unsynced(&self, key: &[u8]) -> bool {
-        self.space.is_unsynced(key, self.synced_pos)
-    }
-
-    /// Returns `true` if executing `op` would touch (read *or* write, §4.3)
-    /// any unsynced object — i.e. `op` does not commute with the set of
-    /// currently unsynced operations.
-    pub fn touches_unsynced(&self, op: &Op) -> bool {
-        op.keys().any(|k| self.is_unsynced(k))
-    }
-
-    /// Reads an object (test/debug accessor).
-    pub fn get_object(&self, key: &[u8]) -> Option<&Object> {
-        self.space.objects.get(key)
-    }
-
-    /// Executes `op`, mutating state and returning its result.
-    ///
-    /// Failed operations (wrong type, failed conditional) do not mutate
-    /// state and do not consume a log position, so a log of *executed*
-    /// mutations replays to identical state.
-    ///
-    /// Typed mutations (`HSet`/`ListPush`/`SetAdd`/`Incr`) update the stored
-    /// collection *in place* — O(1) amortized per mutation, like Redis —
-    /// rather than clone-modify-reinsert (which made every hash/list/set
-    /// update O(n) in the collection size). The live-key invariant makes
-    /// this safe: a key present in `objects` never appears in
-    /// `dead_versions` or `tombstones` (writes purge both; deletes remove
-    /// the object first), so the in-place path can skip those purges.
-    pub fn execute(&mut self, op: &Op) -> OpResult {
-        let mut head = self.log_head;
-        let mut next_pos = || {
-            let pos = head;
-            head += 1;
-            pos
-        };
-        let result = self.space.execute(op, &mut next_pos);
-        self.log_head = head;
-        result
-    }
-
-    /// Exports the full state for snapshotting: live objects plus version
-    /// memory of deleted keys, both in deterministic (sorted) order.
-    pub fn export(&self) -> StoreExport {
-        let mut objects = Vec::with_capacity(self.space.objects.len());
-        let mut dead = Vec::with_capacity(self.space.dead_versions.len());
-        self.space.export_into(&mut objects, &mut dead);
-        objects.sort_by(|a, b| a.0.cmp(&b.0));
-        dead.sort_by(|a, b| a.0.cmp(&b.0));
-        (objects, dead)
-    }
-
-    /// Rebuilds a store from exported state. The imported state is entirely
-    /// *synced* (it came from a backup): `log_head == synced_pos == 1` and
-    /// every object carries `write_pos == 0`, so nothing reads as unsynced
-    /// until the first new mutation.
-    pub fn import(objects: Vec<(Bytes, Object)>, dead_versions: Vec<(Bytes, u64)>) -> Self {
-        let mut store = Store::new();
-        for (k, mut o) in objects {
-            o.write_pos = 0;
-            store.space.objects.insert(k, o);
-        }
-        store.space.dead_versions = dead_versions.into_iter().collect();
-        store.log_head = 1;
-        store.synced_pos = 1;
-        store
-    }
-
-    /// Removes and returns every object (and dead-version entry) whose key
-    /// hash satisfies `belongs`, in sorted order — the data-extraction step
-    /// of a partition migration (§3.6). The caller must have synced first so
-    /// no unsynced state is silently dropped.
-    pub fn split_off(
-        &mut self,
-        belongs: impl Fn(curp_proto::types::KeyHash) -> bool,
-    ) -> StoreExport {
-        assert!(!self.has_unsynced(), "must sync before migrating data out");
-        let mut objects = Vec::new();
-        let mut dead = Vec::new();
-        self.space.split_off_into(&belongs, &mut objects, &mut dead);
-        objects.sort_by(|a, b| a.0.cmp(&b.0));
-        dead.sort_by(|a, b| a.0.cmp(&b.0));
-        (objects, dead)
-    }
-}
-
 // ---- wire codec for snapshot transfer --------------------------------------
 //
 // Backups ship their materialized state to recovery masters as an opaque
@@ -532,49 +396,55 @@ impl Decode for Object {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedStore;
+
+    /// The single-owner engine: one shard, no routing.
+    fn store() -> ShardedStore {
+        ShardedStore::new(1)
+    }
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
-    fn put(store: &mut Store, k: &str, v: &str) -> OpResult {
+    fn put(store: &ShardedStore, k: &str, v: &str) -> OpResult {
         store.execute(&Op::Put { key: b(k), value: b(v) })
     }
 
-    fn get(store: &mut Store, k: &str) -> OpResult {
+    fn get(store: &ShardedStore, k: &str) -> OpResult {
         store.execute(&Op::Get { key: b(k) })
     }
 
     #[test]
     fn put_get_roundtrip() {
-        let mut s = Store::new();
-        assert_eq!(get(&mut s, "k"), OpResult::Value(None));
-        assert_eq!(put(&mut s, "k", "v"), OpResult::Written { version: 1 });
-        assert_eq!(get(&mut s, "k"), OpResult::Value(Some(b("v"))));
+        let s = store();
+        assert_eq!(get(&s, "k"), OpResult::Value(None));
+        assert_eq!(put(&s, "k", "v"), OpResult::Written { version: 1 });
+        assert_eq!(get(&s, "k"), OpResult::Value(Some(b("v"))));
     }
 
     #[test]
     fn versions_increase_monotonically() {
-        let mut s = Store::new();
-        assert_eq!(put(&mut s, "k", "a"), OpResult::Written { version: 1 });
-        assert_eq!(put(&mut s, "k", "b"), OpResult::Written { version: 2 });
+        let s = store();
+        assert_eq!(put(&s, "k", "a"), OpResult::Written { version: 1 });
+        assert_eq!(put(&s, "k", "b"), OpResult::Written { version: 2 });
         s.execute(&Op::Delete { key: b("k") });
         // Version memory survives deletion.
-        assert_eq!(put(&mut s, "k", "c"), OpResult::Written { version: 3 });
+        assert_eq!(put(&s, "k", "c"), OpResult::Written { version: 3 });
     }
 
     #[test]
     fn delete_removes_and_reports_missing() {
-        let mut s = Store::new();
-        put(&mut s, "k", "v");
+        let s = store();
+        put(&s, "k", "v");
         s.execute(&Op::Delete { key: b("k") });
-        assert_eq!(get(&mut s, "k"), OpResult::Value(None));
+        assert_eq!(get(&s, "k"), OpResult::Value(None));
         assert_eq!(s.len(), 0);
     }
 
     #[test]
     fn conditional_put_checks_version() {
-        let mut s = Store::new();
+        let s = store();
         assert_eq!(
             s.execute(&Op::ConditionalPut { key: b("k"), expected_version: 0, value: b("a") }),
             OpResult::Written { version: 1 }
@@ -587,13 +457,13 @@ mod tests {
             s.execute(&Op::ConditionalPut { key: b("k"), expected_version: 1, value: b("b") }),
             OpResult::Written { version: 2 }
         );
-        assert_eq!(get(&mut s, "k"), OpResult::Value(Some(b("b"))));
+        assert_eq!(get(&s, "k"), OpResult::Value(Some(b("b"))));
     }
 
     #[test]
     fn failed_conditional_put_consumes_no_log_position() {
-        let mut s = Store::new();
-        put(&mut s, "k", "a");
+        let s = store();
+        put(&s, "k", "a");
         let head = s.log_head();
         s.execute(&Op::ConditionalPut { key: b("k"), expected_version: 99, value: b("x") });
         assert_eq!(s.log_head(), head);
@@ -601,34 +471,34 @@ mod tests {
 
     #[test]
     fn multiput_writes_all_keys() {
-        let mut s = Store::new();
+        let s = store();
         s.execute(&Op::MultiPut { kvs: vec![(b("a"), b("1")), (b("b"), b("2"))] });
-        assert_eq!(get(&mut s, "a"), OpResult::Value(Some(b("1"))));
-        assert_eq!(get(&mut s, "b"), OpResult::Value(Some(b("2"))));
+        assert_eq!(get(&s, "a"), OpResult::Value(Some(b("1"))));
+        assert_eq!(get(&s, "b"), OpResult::Value(Some(b("2"))));
     }
 
     #[test]
     fn incr_counts_from_zero_and_wraps_strings() {
-        let mut s = Store::new();
+        let s = store();
         assert_eq!(s.execute(&Op::Incr { key: b("c"), delta: 5 }), OpResult::Counter(5));
         assert_eq!(s.execute(&Op::Incr { key: b("c"), delta: -2 }), OpResult::Counter(3));
         // A numeric string upgrades to a counter, like Redis.
-        put(&mut s, "n", "41");
+        put(&s, "n", "41");
         assert_eq!(s.execute(&Op::Incr { key: b("n"), delta: 1 }), OpResult::Counter(42));
         // GET of a counter renders as its decimal string.
-        assert_eq!(get(&mut s, "n"), OpResult::Value(Some(b("42"))));
+        assert_eq!(get(&s, "n"), OpResult::Value(Some(b("42"))));
     }
 
     #[test]
     fn incr_on_non_numeric_is_wrongtype() {
-        let mut s = Store::new();
-        put(&mut s, "k", "not-a-number");
+        let s = store();
+        put(&s, "k", "not-a-number");
         assert_eq!(s.execute(&Op::Incr { key: b("k"), delta: 1 }), OpResult::WrongType);
     }
 
     #[test]
     fn hash_ops() {
-        let mut s = Store::new();
+        let s = store();
         assert_eq!(s.execute(&Op::HGet { key: b("h"), field: b("f") }), OpResult::Value(None));
         s.execute(&Op::HSet { key: b("h"), field: b("f"), value: b("v") });
         s.execute(&Op::HSet { key: b("h"), field: b("g"), value: b("w") });
@@ -641,26 +511,26 @@ mod tests {
             OpResult::Value(Some(b("w")))
         );
         // GET on a hash is a type error.
-        assert_eq!(get(&mut s, "h"), OpResult::WrongType);
+        assert_eq!(get(&s, "h"), OpResult::WrongType);
     }
 
     #[test]
     fn list_push_returns_length() {
-        let mut s = Store::new();
+        let s = store();
         assert_eq!(s.execute(&Op::ListPush { key: b("l"), value: b("a") }), OpResult::Counter(1));
         assert_eq!(s.execute(&Op::ListPush { key: b("l"), value: b("b") }), OpResult::Counter(2));
     }
 
     #[test]
     fn set_add_reports_novelty() {
-        let mut s = Store::new();
+        let s = store();
         assert_eq!(s.execute(&Op::SetAdd { key: b("s"), member: b("m") }), OpResult::Counter(1));
         assert_eq!(s.execute(&Op::SetAdd { key: b("s"), member: b("m") }), OpResult::Counter(0));
     }
 
     #[test]
     fn type_confusion_is_rejected_without_mutation() {
-        let mut s = Store::new();
+        let s = store();
         s.execute(&Op::ListPush { key: b("l"), value: b("a") });
         let head = s.log_head();
         assert_eq!(s.execute(&Op::Incr { key: b("l"), delta: 1 }), OpResult::WrongType);
@@ -674,9 +544,9 @@ mod tests {
 
     #[test]
     fn unsynced_tracking_follows_sync_frontier() {
-        let mut s = Store::new();
-        put(&mut s, "a", "1"); // pos 0
-        put(&mut s, "b", "2"); // pos 1
+        let s = store();
+        put(&s, "a", "1"); // pos 0
+        put(&s, "b", "2"); // pos 1
         assert!(s.is_unsynced(b"a"));
         assert!(s.is_unsynced(b"b"));
         assert!(!s.is_unsynced(b"never-written"));
@@ -689,18 +559,18 @@ mod tests {
 
     #[test]
     fn rewrite_makes_key_unsynced_again() {
-        let mut s = Store::new();
-        put(&mut s, "a", "1");
+        let s = store();
+        put(&s, "a", "1");
         s.mark_synced(1);
         assert!(!s.is_unsynced(b"a"));
-        put(&mut s, "a", "2");
+        put(&s, "a", "2");
         assert!(s.is_unsynced(b"a"));
     }
 
     #[test]
     fn unsynced_delete_is_tracked_via_tombstone() {
-        let mut s = Store::new();
-        put(&mut s, "a", "1");
+        let s = store();
+        put(&s, "a", "1");
         s.mark_synced(1);
         s.execute(&Op::Delete { key: b("a") });
         // The delete itself is an unsynced mutation of "a".
@@ -711,8 +581,8 @@ mod tests {
 
     #[test]
     fn touches_unsynced_matches_footprint() {
-        let mut s = Store::new();
-        put(&mut s, "hot", "1");
+        let s = store();
+        put(&s, "hot", "1");
         assert!(s.touches_unsynced(&Op::Get { key: b("hot") }));
         assert!(!s.touches_unsynced(&Op::Get { key: b("cold") }));
         assert!(s.touches_unsynced(&Op::MultiPut {
@@ -723,40 +593,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond the log head")]
     fn mark_synced_beyond_head_panics() {
-        let mut s = Store::new();
+        let s = store();
         s.mark_synced(1);
     }
 
     #[test]
     #[should_panic(expected = "backwards")]
     fn mark_synced_backwards_panics() {
-        let mut s = Store::new();
-        put(&mut s, "a", "1");
-        put(&mut s, "b", "1");
+        let s = store();
+        put(&s, "a", "1");
+        put(&s, "b", "1");
         s.mark_synced(2);
         s.mark_synced(1);
     }
 
     #[test]
     fn export_import_roundtrip_is_fully_synced() {
-        let mut s = Store::new();
-        put(&mut s, "a", "1");
+        let s = store();
+        put(&s, "a", "1");
         s.execute(&Op::Incr { key: b("c"), delta: 7 });
         s.execute(&Op::HSet { key: b("h"), field: b("f"), value: b("v") });
         s.execute(&Op::Delete { key: b("dead") }); // version memory for "dead"
-        put(&mut s, "dead", "x");
+        put(&s, "dead", "x");
         s.execute(&Op::Delete { key: b("dead") });
 
         let (objects, dead) = s.export();
-        let restored = Store::import(objects, dead);
-        assert!(!restored.has_unsynced(), "imported state must be fully synced");
-        assert!(!restored.is_unsynced(b"a"));
-        let mut r = restored.clone();
-        assert_eq!(get(&mut r, "a"), OpResult::Value(Some(b("1"))));
+        let r: ShardedStore = ShardedStore::import(1, objects, dead);
+        assert!(!r.has_unsynced(), "imported state must be fully synced");
+        assert!(!r.is_unsynced(b"a"));
+        assert_eq!(get(&r, "a"), OpResult::Value(Some(b("1"))));
         assert_eq!(r.execute(&Op::Incr { key: b("c"), delta: 1 }), OpResult::Counter(8));
         // Deleted-key version memory survives the snapshot: "dead" reached
         // version 1 before deletion, so its next write is version 2.
-        assert_eq!(put(&mut r, "dead", "y"), OpResult::Written { version: 2 });
+        assert_eq!(put(&r, "dead", "y"), OpResult::Written { version: 2 });
         // New mutations become unsynced again.
         assert!(r.is_unsynced(b"c"));
     }
@@ -798,12 +667,12 @@ mod tests {
             Op::ListPush { key: b("l"), value: b("x") },
             Op::SetAdd { key: b("s"), member: b("m") },
         ];
-        let mut s1 = Store::new();
-        let mut s2 = Store::new();
+        let s1 = store();
+        let s2 = store();
         let r1: Vec<_> = ops.iter().map(|op| s1.execute(op)).collect();
         let r2: Vec<_> = ops.iter().map(|op| s2.execute(op)).collect();
         assert_eq!(r1, r2);
-        assert_eq!(s1.space.objects, s2.space.objects);
+        assert_eq!(s1.export(), s2.export());
         assert_eq!(s1.log_head(), s2.log_head());
     }
 }

@@ -12,8 +12,7 @@ use curp_proto::frame::FrameDecoder;
 use curp_proto::message::LogEntry;
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{ClientId, RpcId};
-use curp_proto::wire::Encode;
-use curp_storage::{Aof, FsyncPolicy};
+use curp_storage::{Aof, AtomicFile, FsyncPolicy, TempDir};
 use proptest::prelude::*;
 
 fn arb_entries() -> impl Strategy<Value = Vec<LogEntry>> {
@@ -48,10 +47,6 @@ fn complete_frames(raw: &[u8], cut: usize) -> (usize, usize) {
     (frames, decoder.buffered())
 }
 
-fn tmpfile(tag: u64) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("curp-proptest-aof-{}-{tag}", std::process::id()))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -60,7 +55,8 @@ proptest! {
     /// cut fell mid-record, and never errors (a tear is not corruption).
     #[test]
     fn every_truncation_offset_loads_a_clean_prefix(entries in arb_entries()) {
-        let path = tmpfile(entries.iter().map(Encode::encoded_len).sum::<usize>() as u64);
+        let dir = TempDir::new("curp-proptest-aof").unwrap();
+        let path = dir.path().join("log.aof");
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Manual).unwrap();
             aof.append_batch(&entries).unwrap();
@@ -74,16 +70,15 @@ proptest! {
             });
             let (frames, leftover) = complete_frames(&raw, cut);
             prop_assert_eq!(
-                outcome.entries.len(), frames,
+                outcome.records.len(), frames,
                 "cut {} of {}", cut, raw.len()
             );
-            prop_assert_eq!(&outcome.entries[..], &entries[..frames]);
+            prop_assert_eq!(&outcome.records[..], &entries[..frames]);
             prop_assert_eq!(outcome.truncated, leftover > 0);
             // clean_len marks exactly the loadable prefix: cutting the tear
             // there is what keeps the file appendable after recovery.
             prop_assert_eq!(outcome.clean_len, (cut - leftover) as u64);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// Crash-mid-rewrite at **every** byte offset of the tmp file: the
@@ -93,14 +88,18 @@ proptest! {
     /// the new entries. At no offset does a load observe a splice of the
     /// two logs — the invariant that lets `BackupService` rewrite a
     /// backup's log underneath a live replica without a recovery mode.
+    /// The tmp path comes from [`AtomicFile::tmp_path`], the one rule every
+    /// durable-file replacement (rewrite, intent compaction, run files,
+    /// fence / checkpoint / snapshot installs) writes through, so the
+    /// property covers the shared discipline, not just `Aof::rewrite`.
     #[test]
     fn rewrite_crash_at_every_offset_yields_old_or_new_never_a_splice(
         old in arb_entries(),
         new in arb_entries(),
     ) {
-        let tag = (old.len() * 31 + new.len()) as u64;
-        let path = tmpfile(tag);
-        let tmp = path.with_extension("rewrite");
+        let dir = TempDir::new("curp-proptest-aof").unwrap();
+        let path = dir.path().join("log.aof");
+        let tmp = AtomicFile::tmp_path(&path);
         {
             let mut aof = Aof::open(&path, FsyncPolicy::Manual).unwrap();
             aof.append_batch(&old).unwrap();
@@ -109,12 +108,10 @@ proptest! {
         let old_raw = std::fs::read(&path).unwrap();
         // The exact bytes `Aof::rewrite` streams into the tmp file: a
         // completed rewrite at a scratch path yields them verbatim.
-        let scratch = tmpfile(tag ^ 0x5CA7C4);
+        let scratch = dir.path().join("scratch.aof");
         let new_raw = {
             drop(Aof::rewrite(&scratch, &new, FsyncPolicy::Never).unwrap());
-            let raw = std::fs::read(&scratch).unwrap();
-            std::fs::remove_file(&scratch).unwrap();
-            raw
+            std::fs::read(&scratch).unwrap()
         };
 
         // Phase 1 — power fails while the tmp file is being written (or
@@ -127,7 +124,7 @@ proptest! {
                 panic!("tmp cut at {cut}/{} corrupted the live AOF: {e}", new_raw.len())
             });
             prop_assert_eq!(
-                &outcome.entries[..], &old[..],
+                &outcome.records[..], &old[..],
                 "tmp cut at {} leaked into the live log", cut
             );
             prop_assert!(!outcome.truncated, "the live AOF was never touched");
@@ -139,9 +136,8 @@ proptest! {
         std::fs::write(&path, &old_raw).unwrap();
         drop(Aof::rewrite(&path, &new, FsyncPolicy::Manual).unwrap());
         let outcome = Aof::load(&path).unwrap();
-        prop_assert_eq!(&outcome.entries[..], &new[..]);
+        prop_assert_eq!(&outcome.records[..], &new[..]);
         prop_assert!(!outcome.truncated);
         prop_assert!(!tmp.exists(), "a completed rewrite must consume its tmp file");
-        std::fs::remove_file(&path).unwrap();
     }
 }

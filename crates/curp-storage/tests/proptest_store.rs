@@ -8,7 +8,7 @@ use std::collections::{HashMap, HashSet};
 use bytes::Bytes;
 use curp_proto::op::{Op, OpResult};
 use curp_proto::wire::encode_seq;
-use curp_storage::{ShardedStore, StateStore, Store, TempDir, TierConfig, TieredStore};
+use curp_storage::{ShardedStore, StateStore, TempDir, TierConfig, TieredStore};
 use proptest::prelude::*;
 
 fn key(i: u8) -> Bytes {
@@ -21,10 +21,10 @@ enum Step {
     Sync,
 }
 
-/// A deliberately naive store with the same observable semantics as
-/// [`Store`]: every mutation clones the current value, modifies the clone,
-/// and replaces the whole object. This is the behavior `Store::execute` had
-/// before the in-place rewrite; keeping it as the executable specification
+/// A deliberately naive store with the same observable semantics as the
+/// engine: every mutation clones the current value, modifies the clone,
+/// and replaces the whole object. It shares no code with `curp-storage`;
+/// keeping it as the independent executable specification
 /// pins the determinism contract backups and recovery replay rely on
 /// (results, versions, and log positions must match op-for-op).
 #[derive(Default)]
@@ -151,7 +151,7 @@ impl NaiveStore {
     }
 
     /// The real store's value for `key` must equal ours structurally.
-    fn value_matches(&self, key: &Bytes, store: &Store) -> bool {
+    fn value_matches(&self, key: &Bytes, store: &ShardedStore) -> bool {
         use curp_storage::Value;
         match (self.objects.get(key), store.get_object(key)) {
             (None, None) => true,
@@ -255,8 +255,9 @@ fn export_bytes(export: &curp_storage::StoreExport) -> Bytes {
 }
 
 proptest! {
-    /// The 4-way sharded engine is observationally identical to the
-    /// single-space store when fed the same sequential op/sync stream:
+    /// N shards ≡ 1 shard: the 4-way sharded engine is observationally
+    /// identical to the single-shard engine (itself pinned against
+    /// `NaiveStore` below) when fed the same sequential op/sync stream:
     /// same results (and therefore versions), same log positions, same
     /// unsynced frontier at every step, and byte-identical snapshot
     /// exports at the end — the equivalence the master's sharding refactor
@@ -266,7 +267,7 @@ proptest! {
         steps in prop::collection::vec(arb_any_step(), 1..150)
     ) {
         let sharded: ShardedStore = ShardedStore::new(4);
-        let mut single = Store::new();
+        let single: ShardedStore = ShardedStore::new(1);
         for step in &steps {
             match step {
                 Step::Sync => {
@@ -300,7 +301,7 @@ proptest! {
         prop_assert_eq!(export_bytes(&se), export_bytes(&ss), "snapshot bytes diverged");
         // Import round-trips agree too (both land fully synced).
         let resharded: ShardedStore = ShardedStore::import(4, se.0.clone(), se.1.clone());
-        let resingle = Store::import(ss.0, ss.1);
+        let resingle: ShardedStore = ShardedStore::import(1, ss.0, ss.1);
         prop_assert_eq!(resharded.export(), resingle.export());
         prop_assert_eq!(resharded.has_unsynced(), resingle.has_unsynced());
     }
@@ -354,13 +355,13 @@ proptest! {
         prop_assert_eq!(t_dead, r_dead, "dead-version exports diverged");
     }
 
-    /// The in-place `Store::execute` matches the naive clone-per-mutation
-    /// reference implementation op-for-op: same results (and therefore
+    /// The in-place execute path, on the 1-shard engine, matches the naive
+    /// clone-per-mutation reference implementation op-for-op: same results (and therefore
     /// versions), same log positions, same per-key state. This is the
     /// determinism contract backups and recovery replay depend on.
     #[test]
     fn execute_matches_naive_reference(ops in prop::collection::vec(arb_any_op(), 1..150)) {
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         let mut reference = NaiveStore::default();
         for op in &ops {
             let got = store.execute(op);
@@ -384,8 +385,8 @@ proptest! {
     /// property backups and recovery replay depend on.
     #[test]
     fn execution_is_deterministic(ops in prop::collection::vec(arb_op(), 1..120)) {
-        let mut a = Store::new();
-        let mut b = Store::new();
+        let a: ShardedStore = ShardedStore::new(1);
+        let b: ShardedStore = ShardedStore::new(1);
         for op in &ops {
             prop_assert_eq!(a.execute(op), b.execute(op));
         }
@@ -401,7 +402,7 @@ proptest! {
     /// unsynced; reads never change the frontier.
     #[test]
     fn unsynced_tracking_is_exact(steps in prop::collection::vec(arb_step(), 1..150)) {
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         // Model: keys written since the last sync.
         let mut dirty: std::collections::HashSet<Bytes> = Default::default();
         for step in &steps {
@@ -438,14 +439,12 @@ proptest! {
     /// Snapshot round-trips preserve every observable value.
     #[test]
     fn export_import_preserves_reads(ops in prop::collection::vec(arb_op(), 1..100)) {
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         for op in &ops {
             store.execute(op);
         }
         let (objects, dead) = store.export();
-        let restored = Store::import(objects, dead);
-        let mut a = store.clone();
-        let mut b = restored;
+        let (a, b) = (store, ShardedStore::<()>::import(1, objects, dead));
         for i in 0..16u8 {
             prop_assert_eq!(
                 a.execute(&Op::Get { key: key(i) }),
@@ -466,7 +465,7 @@ proptest! {
     /// Log positions are consumed iff state changed; failed ops are free.
     #[test]
     fn log_positions_track_mutations(ops in prop::collection::vec(arb_op(), 1..120)) {
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         for op in &ops {
             let before = store.log_head();
             let result = store.execute(op);

@@ -15,7 +15,7 @@
 //! acknowledging — the write-ahead discipline that makes the paper's
 //! durability claim honest on disk-backed hardware.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
@@ -142,24 +142,10 @@ impl JournaledWitness {
                 JournalOp::End(m) => inner.end(m),
             }
         }
-        // Cut any torn tail before reopening for append: a new record
-        // journaled after the leftover bytes would hide behind the tear's
-        // stale length prefix and poison the next replay.
-        if out.truncated {
-            let t = OpenOptions::new().write(true).open(path)?;
-            t.set_len(out.clean_len)?;
-            t.sync_data()?;
-        }
-        let created = !path.exists();
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        if created {
-            // Make the directory entry durable too: a journal whose file
-            // can vanish with an unflushed directory in a power loss is not
-            // write-ahead storage (same rule as `curp_storage::fsync_dir`).
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                File::open(dir)?.sync_all()?;
-            }
-        }
+        // Cut any torn tail, reopen for append, and make a new journal's
+        // directory entry durable — the shared framed-log write discipline.
+        let file =
+            curp_storage::open_for_append(path, out.truncated.then_some(out.clean_len), true)?;
         Ok(JournaledWitness {
             inner,
             journal: Mutex::ranked(lockrank::WITNESS_JOURNAL, "witness.journal.file", file),
@@ -212,6 +198,8 @@ mod tests {
     use bytes::Bytes;
     use curp_proto::op::Op;
     use curp_proto::types::ClientId;
+    use curp_storage::TempDir;
+    use std::fs::OpenOptions;
 
     const M: MasterId = MasterId(1);
 
@@ -228,16 +216,10 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("curp-witness-journal-{}-{}", std::process::id(), name));
-        let _ = std::fs::remove_file(&p);
-        p
-    }
-
     #[test]
     fn records_survive_restart() {
-        let path = tmp("restart");
+        let dir = TempDir::new("curp-witness-journal").unwrap();
+        let path = dir.path().join("restart");
         {
             let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
             w.handle_request(&Request::WitnessStart { master_id: M });
@@ -252,12 +234,12 @@ mod tests {
         // Commutativity state survives too: a conflicting record is rejected.
         let rsp = w.handle_request(&Request::WitnessRecord { request: req("k3", 9) });
         assert_eq!(rsp, Response::RecordRejected);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn gc_survives_restart() {
-        let path = tmp("gc");
+        let dir = TempDir::new("curp-witness-journal").unwrap();
+        let path = dir.path().join("gc");
         {
             let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
             w.handle_request(&Request::WitnessStart { master_id: M });
@@ -268,12 +250,12 @@ mod tests {
         }
         let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
         assert_eq!(w.service().occupancy(M), 0, "gc'd record resurrected");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn freeze_is_irreversible_across_restart() {
-        let path = tmp("freeze");
+        let dir = TempDir::new("curp-witness-journal").unwrap();
+        let path = dir.path().join("freeze");
         {
             let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
             w.handle_request(&Request::WitnessStart { master_id: M });
@@ -289,12 +271,12 @@ mod tests {
             Response::RecoveryData { requests } => assert_eq!(requests.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_tail_is_discarded() {
-        let path = tmp("torn");
+        let dir = TempDir::new("curp-witness-journal").unwrap();
+        let path = dir.path().join("torn");
         {
             let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
             w.handle_request(&Request::WitnessStart { master_id: M });
@@ -308,12 +290,12 @@ mod tests {
         drop(f);
         let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
         assert_eq!(w.service().occupancy(M), 2, "torn third record must be dropped");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn end_survives_restart() {
-        let path = tmp("end");
+        let dir = TempDir::new("curp-witness-journal").unwrap();
+        let path = dir.path().join("end");
         {
             let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
             w.handle_request(&Request::WitnessStart { master_id: M });
@@ -327,6 +309,5 @@ mod tests {
             w.handle_request(&Request::WitnessStart { master_id: M }),
             Response::WitnessStarted { ok: true }
         );
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -27,7 +27,7 @@ use curp::proto::op::{Op, OpResult};
 use curp::proto::types::{ClientId, RpcId};
 use curp::sim::tempdir::TempDir;
 use curp::sim::{run_sim, Mode, RamcloudParams, SimCluster};
-use curp::storage::{Aof, FsyncPolicy, Store};
+use curp::storage::{Aof, FsyncPolicy, ShardedStore};
 
 fn b(s: &str) -> Bytes {
     Bytes::from(s.to_owned())
@@ -48,7 +48,7 @@ fn fsync_policy_comparison(dir: &std::path::Path) -> std::io::Result<()> {
         (FsyncPolicy::Manual, "batched fsync (CURP backups) "),
     ] {
         let p = dir.join(format!("bench-{label:.5}.aof"));
-        let mut store = Store::new();
+        let store: ShardedStore = ShardedStore::new(1);
         let mut aof = Aof::open(&p, policy)?;
         let t0 = Instant::now();
         for i in 0..n {

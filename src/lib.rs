@@ -64,7 +64,7 @@
 //! |---|---|
 //! | [`proto`] | wire format, operations, RPC messages |
 //! | [`transport`] | `RpcClient`/`RpcHandler`, simulated + TCP transports |
-//! | [`storage`] | log-position-tracking object store, append-only file |
+//! | [`storage`] | `StateStore` engines, append-only file, durable-file writer |
 //! | [`rifl`] | exactly-once RPC semantics (leases, completion records) |
 //! | [`witness`] | the set-associative witness cache and server |
 //! | [`core`] | master, backup, client, coordinator, recovery |

@@ -166,10 +166,11 @@ fn production_rank_bands_ascend_along_the_documented_order() {
         lockrank::BACKUP_REPLICAS,
         lockrank::WITNESS_INSTANCES,
         lockrank::WITNESS_MODE,
+        lockrank::CONSENSUS_REPLICA,
         lockrank::STORE_SHARD,
         lockrank::WITNESS_SHARD,
         lockrank::MASTER_RIFL,
-        lockrank::CONSENSUS_REPLICA,
+        lockrank::CONSENSUS_CLIENT_RIFL,
         lockrank::WITNESS_JOURNAL,
         lockrank::TRANSPORT_SERVERS,
         lockrank::TIER_RUNS,
