@@ -10,7 +10,7 @@ use curp_proto::message::RecordedRequest;
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{ClientId, MasterId, ServerId};
 use curp_rifl::RiflSequencer;
-use curp_transport::rpc::RpcClient;
+use curp_transport::rpc::{join_all, RpcClient};
 use parking_lot::Mutex;
 
 use crate::msg::{unwrap_reply, wrap_rpc, ConsensusReply, ConsensusRpc};
@@ -232,17 +232,4 @@ impl ConsensusClient {
         }
         Err(ConsensusError::Exhausted(last_err))
     }
-}
-
-async fn join_all<F, T>(futs: Vec<F>) -> Vec<T>
-where
-    F: std::future::Future<Output = T> + Send + 'static,
-    T: Send + 'static,
-{
-    let handles: Vec<_> = futs.into_iter().map(tokio::spawn).collect();
-    let mut out = Vec::with_capacity(handles.len());
-    for h in handles {
-        out.push(h.await.expect("task panicked"));
-    }
-    out
 }

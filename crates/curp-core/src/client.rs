@@ -1,27 +1,29 @@
 //! The CURP client (§3.2.1).
 //!
-//! The 1-RTT fast path: for each update, the client sends the update RPC to
-//! the master *and* record RPCs to all `f` witnesses in parallel. It
-//! completes the operation when
+//! The protocol is written once, in `CurpClient::attempt`: for a slice of
+//! operations routed to one partition it sends the updates to the master
+//! *and* their records to all `f` witnesses in parallel, then settles each
+//! operation:
 //!
-//! * the master responded `synced` (the master already replicated — 2 RTT
-//!   total, no client sync needed, §3.2.3), or
-//! * the master responded speculatively *and* every witness accepted (1 RTT).
+//! * the master answered `synced` — durable on backups, done (2 RTT, no
+//!   client sync, §3.2.3);
+//! * the master answered speculatively and every witness accepted — done in
+//!   1 RTT (so is `f = 0`, and the unrecorded *Async* baseline);
+//! * otherwise the op joins the one explicit `sync` RPC the attempt's
+//!   rejected ops share (2–3 RTT);
+//! * the master refused, or no usable answer came back — the op restarts
+//!   under the same RIFL id, so a re-execution is filtered.
 //!
-//! Otherwise it falls back to an explicit `sync` RPC (2–3 RTT), and if that
-//! fails it restarts the whole operation — re-fetching the configuration in
-//! case the master crashed and was recovered elsewhere. Retries reuse the
-//! same RIFL id so re-executions are filtered.
-//!
-//! [`PipelinedClient`] layers a windowed, batching mode on top: up to a
-//! configured number of operations stay in flight per partition, flushed as
-//! `Batch` frames and resolved through [`Completion`] futures keyed by RIFL
-//! id, with routing by [`ClusterConfig::partition_for`] so one handle drives
-//! every master of a partitioned cluster concurrently.
+//! One retry loop, `CurpClient::run`, wraps a one-op attempt in "refresh the
+//! configuration (the master may have been recovered elsewhere), back off,
+//! restart"; [`CurpClient::update`], [`CurpClient::read`] and every per-op
+//! fall-back go through it. [`PipelinedClient`] is the front end that builds
+//! longer slices: a window of operations per partition, flushed together.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::future::Future;
 use std::pin::Pin;
+use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Context, Poll};
@@ -34,11 +36,10 @@ use curp_proto::message::{RecordedRequest, Request, Response};
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{MasterId, RpcId, ServerId};
 use curp_rifl::RiflSequencer;
-use curp_transport::rpc::RpcClient;
+use curp_transport::error::RpcError;
+use curp_transport::rpc::{join_all, BoxFuture, RpcClient};
 use parking_lot::Mutex;
 use tokio::sync::{mpsc, oneshot, OwnedSemaphorePermit, Semaphore};
-
-use crate::master::futures_join_all;
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -129,6 +130,76 @@ struct ClientState {
     rifl: RiflSequencer,
 }
 
+/// One operation as an attempt sees it: the RIFL id every restart reuses,
+/// and the footprint computed once for routing and the witness record.
+#[derive(Clone)]
+struct Call {
+    rpc_id: RpcId,
+    op: Op,
+    footprint: Footprint,
+}
+
+/// How one operation of an attempt ended.
+enum Verdict {
+    /// Completed: the result may be externalized.
+    Done(OpResult),
+    /// The master answered but would not execute: the cached map is stale.
+    Refused(String),
+    /// No usable answer (transport error, or the shared sync unconfirmed).
+    Lost(String),
+}
+
+/// The path an executed operation completes on ([`ClientStats`]).
+#[derive(Debug, PartialEq)]
+enum Path {
+    Read,
+    /// Durable on backups; witness outcomes are irrelevant (§3.2.3).
+    Synced,
+    Fast,
+    /// Speculative and not on all `f` witnesses: needs the explicit sync.
+    Unsynced,
+}
+
+/// The §3.2.1 table for one operation: the master's reply, whether every
+/// witness accepted its record, the partition's `f`, and whether this
+/// client records at all (the *Async* baseline does not, and externalizes
+/// without durability). `Err` is the master's refusal.
+fn judge(
+    master: Response,
+    accepted: bool,
+    f: usize,
+    record_witnesses: bool,
+) -> Result<(Path, OpResult), String> {
+    match master {
+        Response::Read { result } => Ok((Path::Read, result)),
+        Response::Update { result, synced: true } => Ok((Path::Synced, result)),
+        Response::Update { result, .. } if !record_witnesses || f == 0 || accepted => {
+            Ok((Path::Fast, result))
+        }
+        Response::Update { result, .. } => Ok((Path::Unsynced, result)),
+        Response::StaleWitnessList { .. } => Err("stale witness list".into()),
+        Response::NotOwner => Err("not owner".into()),
+        Response::Retry { reason } => Err(reason),
+        other => Err(format!("unexpected: {other:?}")),
+    }
+}
+
+/// One server's positional answers to an attempt's requests.
+type Replies = Result<Vec<Response>, RpcError>;
+
+/// `accepted[j]`: there are witnesses and each accepted record `j`. An
+/// unreachable or short-replying witness accepted nothing.
+fn accepted_by_all(witnesses: &[Replies], records: usize) -> Vec<bool> {
+    let mut accepted = vec![!witnesses.is_empty(); records];
+    for w in witnesses {
+        let full = w.as_ref().ok().filter(|rsps| rsps.len() == records);
+        for (j, a) in accepted.iter_mut().enumerate() {
+            *a &= full.is_some_and(|rsps| rsps[j] == Response::RecordAccepted);
+        }
+    }
+    accepted
+}
+
 /// A CURP client handle. Cheap to share via `Arc`; all methods take `&self`.
 pub struct CurpClient {
     rpc: Arc<dyn RpcClient>,
@@ -150,21 +221,17 @@ impl CurpClient {
             Ok(Response::Lease { client, .. }) => client,
             other => return Err(ClientError::Coordinator(format!("{other:?}"))),
         };
-        let config = match rpc.call(coordinator, Request::GetConfig).await {
-            Ok(Response::Config { config }) => config,
-            other => return Err(ClientError::Coordinator(format!("{other:?}"))),
-        };
-        Ok(CurpClient {
+        let state =
+            ClientState { config: ClusterConfig::default(), rifl: RiflSequencer::new(lease) };
+        let client = CurpClient {
             rpc,
             coordinator,
             cfg,
-            state: Mutex::ranked(
-                lockrank::CLIENT_STATE,
-                "core.client.state",
-                ClientState { config, rifl: RiflSequencer::new(lease) },
-            ),
+            state: Mutex::ranked(lockrank::CLIENT_STATE, "core.client.state", state),
             stats: ClientStats::default(),
-        })
+        };
+        client.refresh_config().await?;
+        Ok(client)
     }
 
     /// Re-fetches the cluster configuration from the coordinator.
@@ -205,165 +272,163 @@ impl CurpClient {
     /// Executes a mutation with CURP's fast path. Linearizable: the result
     /// is durable (f-fault-tolerant) when this returns.
     pub async fn update(&self, op: Op) -> Result<OpResult, ClientError> {
-        let rpc_id = self.state.lock().rifl.next_rpc_id();
-        self.update_with_id(rpc_id, op).await
-    }
-
-    /// The full retry loop for one mutation under an already-assigned RIFL
-    /// id (re-used by [`PipelinedClient`] when a batched attempt needs a
-    /// per-op restart; re-executions are filtered by the id).
-    async fn update_with_id(&self, rpc_id: RpcId, op: Op) -> Result<OpResult, ClientError> {
         let footprint = op.key_hashes();
-        let mut last_err = String::new();
-        for attempt in 0..self.cfg.max_retries {
-            if attempt > 0 {
-                self.stats.restarts.fetch_add(1, Ordering::Relaxed);
-                tokio::time::sleep(retry_delay(
-                    self.cfg.retry_backoff,
-                    self.cfg.retry_backoff_max,
-                    attempt,
-                    rpc_id.client.0.rotate_left(32) ^ rpc_id.seq,
-                ))
-                .await;
-            }
-            let part = match self.route(&footprint) {
-                Ok(p) => p,
-                Err(ClientError::NoPartition) => {
-                    self.refresh_config().await.ok();
-                    last_err = "no partition".into();
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            match self.try_once(&part, rpc_id, &op, &footprint).await {
-                TryOutcome::Done(result) => {
-                    self.state.lock().rifl.complete(rpc_id);
-                    return Ok(result);
-                }
-                TryOutcome::RefreshAndRetry(err) => {
-                    last_err = err;
-                    self.refresh_config().await.ok();
-                }
-            }
-        }
-        Err(ClientError::Exhausted(last_err))
-    }
-
-    async fn try_once(
-        &self,
-        part: &PartitionConfig,
-        rpc_id: RpcId,
-        op: &Op,
-        footprint: &Footprint,
-    ) -> TryOutcome {
-        let first_incomplete = self.state.lock().rifl.first_incomplete();
-        let update_fut = self.rpc.call(
-            part.master,
-            Request::ClientUpdate {
-                rpc_id,
-                first_incomplete,
-                witness_list_version: part.witness_list_version,
-                op: op.clone(),
-            },
-        );
-        // Record RPCs go out in parallel with the update (§3.2.1). The
-        // record carries the footprint computed once in `update`.
-        let witnesses: Vec<ServerId> =
-            if self.cfg.record_witnesses { part.witnesses.clone() } else { Vec::new() };
-        let record = RecordedRequest {
-            master_id: part.master_id,
-            rpc_id,
-            key_hashes: footprint.clone(),
-            op: op.clone(),
-        };
-        let record_futs: Vec<_> = witnesses
-            .iter()
-            .map(|&w| self.rpc.call(w, Request::WitnessRecord { request: record.clone() }))
-            .collect();
-
-        let (master_rsp, witness_rsps) = tokio::join!(update_fut, futures_join_all(record_futs));
-
-        let (result, synced) = match master_rsp {
-            Ok(Response::Update { result, synced }) => (result, synced),
-            Ok(Response::StaleWitnessList { .. }) => {
-                return TryOutcome::RefreshAndRetry("stale witness list".into())
-            }
-            Ok(Response::NotOwner) => return TryOutcome::RefreshAndRetry("not owner".into()),
-            Ok(Response::Retry { reason }) => return TryOutcome::RefreshAndRetry(reason),
-            Ok(other) => return TryOutcome::RefreshAndRetry(format!("unexpected: {other:?}")),
-            Err(e) => return TryOutcome::RefreshAndRetry(format!("master rpc: {e}")),
-        };
-
-        if synced {
-            // Durable on backups; witness outcomes are irrelevant (§3.2.3).
-            self.stats.synced_by_master.fetch_add(1, Ordering::Relaxed);
-            return TryOutcome::Done(result);
-        }
-        if !self.cfg.record_witnesses {
-            // Async-replication baseline: externalize without durability.
-            self.stats.fast_path.fetch_add(1, Ordering::Relaxed);
-            return TryOutcome::Done(result);
-        }
-        let all_accepted = !witnesses.is_empty()
-            && witness_rsps.iter().all(|r| matches!(r, Ok(Response::RecordAccepted)));
-        if all_accepted || part.fault_tolerance() == 0 {
-            // 1-RTT fast path: recorded on all f witnesses (§3.2.1).
-            self.stats.fast_path.fetch_add(1, Ordering::Relaxed);
-            return TryOutcome::Done(result);
-        }
-
-        // Slow path: ask the master to make it durable on backups. The sync
-        // names the incarnation that executed this op speculatively — a
-        // recovered successor on the same server must refuse rather than
-        // vouch for entries it never held.
-        self.stats.explicit_sync.fetch_add(1, Ordering::Relaxed);
-        match self.rpc.call(part.master, Request::Sync { master_id: part.master_id }).await {
-            Ok(Response::SyncDone) => TryOutcome::Done(result),
-            // "If there is no response to the sync RPC ... the client
-            // restarts the entire process" (§3.2.1).
-            Ok(other) => TryOutcome::RefreshAndRetry(format!("sync refused: {other:?}")),
-            Err(e) => TryOutcome::RefreshAndRetry(format!("sync rpc: {e}")),
-        }
+        self.run(&self.new_call(op, footprint)).await
     }
 
     /// Executes a read-only operation at the partition master (1 RTT).
     pub async fn read(&self, op: Op) -> Result<OpResult, ClientError> {
         assert!(op.is_read_only(), "use update() for mutations");
-        let footprint = op.key_hashes();
+        self.update(op).await
+    }
+
+    /// Assigns `op` its RIFL id. A read's never reaches a server (it keys
+    /// the [`Completion`] and salts the backoff), so it is acknowledged at
+    /// once and cannot stall the watermark.
+    fn new_call(&self, op: Op, footprint: Footprint) -> Call {
+        let mut st = self.state.lock();
+        let rpc_id = st.rifl.next_rpc_id();
+        if op.is_read_only() {
+            st.rifl.complete(rpc_id);
+        }
+        Call { rpc_id, op, footprint }
+    }
+
+    /// The one retry loop: route, attempt, and on anything short of
+    /// completion refresh the map and restart "the entire process" (§3.2.1)
+    /// after a backoff, under the call's RIFL id.
+    async fn run(&self, call: &Call) -> Result<OpResult, ClientError> {
+        let salt = call.rpc_id.client.0.rotate_left(32) ^ call.rpc_id.seq;
         let mut last_err = String::new();
-        let salt = self.state.lock().rifl.client_id().0.rotate_left(32)
-            ^ footprint.first().map_or(0, |h| h.0);
         for attempt in 0..self.cfg.max_retries {
             if attempt > 0 {
-                tokio::time::sleep(retry_delay(
-                    self.cfg.retry_backoff,
-                    self.cfg.retry_backoff_max,
-                    attempt,
-                    salt,
-                ))
-                .await;
+                self.stats.restarts.fetch_add(1, Ordering::Relaxed);
+                let (base, max) = (self.cfg.retry_backoff, self.cfg.retry_backoff_max);
+                tokio::time::sleep(retry_delay(base, max, attempt, salt)).await;
             }
-            let part = match self.route(&footprint) {
-                Ok(p) => p,
+            let mut verdict = Verdict::Lost(String::new());
+            match self.route(&call.footprint) {
+                Ok(part) => self.attempt(&part, slice::from_ref(call), |_, v| verdict = v).await,
+                // A map fetched before the partition existed, or cut
+                // mid-reconfiguration: the refresh below may fix it.
+                Err(ClientError::NoPartition) => verdict = Verdict::Lost("no partition".into()),
                 Err(e) => return Err(e),
-            };
-            match self.rpc.call(part.master, Request::ClientRead { op: op.clone() }).await {
-                Ok(Response::Read { result }) => return Ok(result),
-                Ok(Response::NotOwner) => {
-                    last_err = "not owner".into();
-                    self.refresh_config().await.ok();
-                }
-                Ok(other) => {
-                    last_err = format!("unexpected: {other:?}");
-                    self.refresh_config().await.ok();
-                }
-                Err(e) => {
-                    last_err = format!("rpc: {e}");
-                    self.refresh_config().await.ok();
-                }
             }
+            match verdict {
+                Verdict::Done(result) => return Ok(result),
+                Verdict::Refused(why) | Verdict::Lost(why) => last_err = why,
+            }
+            self.refresh_config().await.ok();
         }
         Err(ClientError::Exhausted(last_err))
+    }
+
+    /// One §3.2.1 attempt for `calls`, all routed to `part`: the only place
+    /// that talks to a master or its witnesses on an operation's behalf.
+    ///
+    /// `settle(i, verdict)` runs exactly once per call, as soon as its
+    /// verdict is known: what the first round trip decides is settled before
+    /// the shared sync goes out, so a rejected neighbour delays nobody.
+    async fn attempt(
+        &self,
+        part: &PartitionConfig,
+        calls: &[Call],
+        mut settle: impl FnMut(usize, Verdict),
+    ) {
+        let first_incomplete = self.state.lock().rifl.first_incomplete();
+        let record = self.cfg.record_witnesses && !part.witnesses.is_empty();
+        let mut master_reqs = Vec::with_capacity(calls.len());
+        let mut record_reqs = Vec::new();
+        for c in calls {
+            if c.op.is_read_only() {
+                master_reqs.push(Request::ClientRead { op: c.op.clone() });
+                continue;
+            }
+            master_reqs.push(Request::ClientUpdate {
+                rpc_id: c.rpc_id,
+                first_incomplete,
+                witness_list_version: part.witness_list_version,
+                op: c.op.clone(),
+            });
+            if record {
+                // Each record carries its own footprint, so witnesses check
+                // commutativity per op however many share a frame (§3.2.2).
+                record_reqs.push(Request::WitnessRecord {
+                    request: RecordedRequest {
+                        master_id: part.master_id,
+                        rpc_id: c.rpc_id,
+                        key_hashes: c.footprint.clone(),
+                        op: c.op.clone(),
+                    },
+                });
+            }
+        }
+        let witnesses = if record_reqs.is_empty() { &[] } else { part.witnesses.as_slice() };
+        let record_futs: Vec<_> =
+            witnesses.iter().map(|&w| self.send(w, record_reqs.clone())).collect();
+        // Record RPCs go out in parallel with the update (§3.2.1).
+        let (master_rsps, witness_rsps) =
+            tokio::join!(self.send(part.master, master_reqs), join_all(record_futs));
+        let master_rsps = match master_rsps {
+            Ok(rsps) if rsps.len() == calls.len() => rsps,
+            other => {
+                let why = format!("master rpc: {:?}", other.map(|rsps| rsps.len()));
+                return (0..calls.len()).for_each(|i| settle(i, Verdict::Lost(why.clone())));
+            }
+        };
+
+        // Records were built in call order, one per mutation.
+        let mut record_acks = accepted_by_all(&witness_rsps, record_reqs.len()).into_iter();
+        let mut unsynced = Vec::new();
+        for (i, (c, rsp)) in calls.iter().zip(master_rsps).enumerate() {
+            let accepted = !c.op.is_read_only() && record_acks.next().unwrap_or(false);
+            match judge(rsp, accepted, part.fault_tolerance(), self.cfg.record_witnesses) {
+                Ok((Path::Unsynced, result)) => unsynced.push((i, result)),
+                Ok((path, result)) => settle(i, self.complete(c, path, result)),
+                Err(why) => settle(i, Verdict::Refused(why)),
+            }
+        }
+        if unsynced.is_empty() {
+            return;
+        }
+        // Slow path: one sync makes the master's whole unsynced prefix
+        // durable, so it covers every rejected op (§3.2.3). It names the
+        // incarnation that executed them — a recovered successor on the
+        // same server must refuse rather than vouch for entries it never
+        // held. No `SyncDone`: "restarts the entire process" (§3.2.1).
+        let synced = self.rpc.call(part.master, Request::Sync { master_id: part.master_id }).await;
+        for (i, result) in unsynced {
+            let verdict = match &synced {
+                Ok(Response::SyncDone) => self.complete(&calls[i], Path::Unsynced, result),
+                Ok(other) => Verdict::Lost(format!("sync refused: {other:?}")),
+                Err(e) => Verdict::Lost(format!("sync rpc: {e}")),
+            };
+            settle(i, verdict);
+        }
+    }
+
+    /// Sends `reqs` to one server: a single request as the plain frame,
+    /// several as one `Batch` frame. The count alone decides.
+    fn send(&self, to: ServerId, mut reqs: Vec<Request>) -> BoxFuture<'static, Replies> {
+        if reqs.len() != 1 {
+            return self.rpc.call_batch(to, reqs);
+        }
+        let one = self.rpc.call(to, reqs.remove(0));
+        Box::pin(async move { one.await.map(|rsp| vec![rsp]) })
+    }
+
+    /// Books a completed call: its path counted, once, and its RIFL id
+    /// acknowledged so the piggybacked watermark may pass it.
+    fn complete(&self, call: &Call, path: Path, result: OpResult) -> Verdict {
+        let stats = &self.stats;
+        let _before = match path {
+            Path::Read => 0,
+            Path::Synced => stats.synced_by_master.fetch_add(1, Ordering::Relaxed),
+            Path::Fast => stats.fast_path.fetch_add(1, Ordering::Relaxed),
+            Path::Unsynced => stats.explicit_sync.fetch_add(1, Ordering::Relaxed),
+        };
+        self.state.lock().rifl.complete(call.rpc_id);
+        Verdict::Done(result)
     }
 
     /// Consistent read from a backup (§A.1, 0 wide-area RTTs in
@@ -376,40 +441,23 @@ impl CurpClient {
         assert!(op.is_read_only(), "use update() for mutations");
         let footprint = op.key_hashes();
         let part = self.route(&footprint)?;
-        if part.witnesses.is_empty() || part.backups.is_empty() {
-            return self.read(op).await;
-        }
-        let witness = part.witnesses[replica % part.witnesses.len()];
-        let backup = part.backups[replica % part.backups.len()];
-        let probe = self
-            .rpc
-            .call(
-                witness,
-                Request::WitnessCommuteCheck { master_id: part.master_id, key_hashes: footprint },
-            )
-            .await;
-        match probe {
-            Ok(Response::CommuteOk { commutative: true }) => {
-                match self
-                    .rpc
-                    .call(backup, Request::BackupRead { master_id: part.master_id, op: op.clone() })
-                    .await
-                {
-                    Ok(Response::BackupValue { result }) => Ok(result),
-                    // Backup unavailable: the master always works.
-                    _ => self.read(op).await,
+        if !part.witnesses.is_empty() && !part.backups.is_empty() {
+            let witness = part.witnesses[replica % part.witnesses.len()];
+            let backup = part.backups[replica % part.backups.len()];
+            let master_id = part.master_id;
+            let probe = Request::WitnessCommuteCheck { master_id, key_hashes: footprint };
+            // Anything else is a pending update on this key (or a frozen
+            // witness): the backup may be stale (§A.1).
+            let probed = self.rpc.call(witness, probe).await;
+            if let Ok(Response::CommuteOk { commutative: true }) = probed {
+                let read = Request::BackupRead { master_id, op: op.clone() };
+                if let Ok(Response::BackupValue { result }) = self.rpc.call(backup, read).await {
+                    return Ok(result);
                 }
             }
-            // A pending update on this key (or a frozen witness): the backup
-            // may be stale, read at the master (§A.1).
-            _ => self.read(op).await,
         }
+        self.read(op).await
     }
-}
-
-enum TryOutcome {
-    Done(OpResult),
-    RefreshAndRetry(String),
 }
 
 // ---- pipelined mode ---------------------------------------------------------
@@ -435,26 +483,19 @@ impl Default for PipelineConfig {
 /// The plain client issues one operation per in-flight RPC, so end-to-end
 /// throughput is bounded by round trips. `PipelinedClient` keeps up to
 /// [`PipelineConfig::window`] operations outstanding *per partition*:
-/// [`submit`](Self::submit) routes the operation by its footprint
-/// ([`ClusterConfig::partition_for`], so one client instance drives many
-/// masters concurrently), waits for a window slot, and returns a
-/// [`Completion`] future keyed by the operation's RIFL id. Queued operations
-/// bound for the same partition are flushed together as one `Batch` frame —
-/// the master update batch and one record batch per witness go out in
-/// parallel, each record keeping its own per-op footprint so witness
-/// commutativity stays per-op (§3.2.2).
+/// [`submit`](Self::submit) routes the operation by its footprint (so one
+/// instance drives many masters concurrently), waits for a window slot, and
+/// returns a [`Completion`] future keyed by the operation's RIFL id. Queued
+/// operations bound for the same partition are flushed together as one
+/// attempt — the one [`CurpClient::update`] makes for a single operation.
 ///
-/// Per-op outcomes follow the same state machine as [`CurpClient::update`]:
-/// master-synced and fast-path completions resolve immediately; ops whose
-/// records were rejected share a single explicit sync RPC per flush.
-/// Refused ops (`NotOwner` after a partition split, stale witness list,
-/// sealed master) refresh the map once and re-enter the pipeline on their
-/// new owner's pipe — up to `MAX_REDIRECTS` times, after which (or on
-/// transport errors) they fall back to the one-op retry loop under their
-/// original RIFL id. The redirect keeps a live split invisible to the
-/// caller: throughput for the moved range recovers to pipelined rates as
-/// soon as the refreshed map lands, instead of degrading to serial retries
-/// for the rest of the client's lifetime.
+/// What this type adds is where a verdict short of completion goes. Refused
+/// ops (`NotOwner` after a split, stale witness list, sealed master) refresh
+/// the map once per flush and re-enter the pipeline on their new owner's
+/// pipe, so a live split stays invisible to the caller: the moved range is
+/// back at pipelined rates as soon as the refreshed map lands. After
+/// `MAX_REDIRECTS` hops (or when no usable answer came back) an op restarts
+/// through the one-op retry loop instead.
 ///
 /// Operations inside the window are **concurrent**: CURP's guarantees apply
 /// per operation, and two pipelined ops may execute in either order. A
@@ -474,6 +515,7 @@ pub struct PipelinedClient {
 /// retry loop (guards against a stale map ping-ponging an op forever).
 const MAX_REDIRECTS: u32 = 3;
 
+#[derive(Clone)]
 struct Pipe {
     queue: mpsc::UnboundedSender<PendingOp>,
     window: Arc<Semaphore>,
@@ -481,13 +523,16 @@ struct Pipe {
 
 /// One submitted-but-unresolved operation, owned by its partition's flusher.
 struct PendingOp {
-    rpc_id: RpcId,
-    op: Op,
-    footprint: Footprint,
-    /// Window slot; dropping it (on completion) re-opens the window.
-    /// A redirected op keeps the permit of the pipe it was submitted on, so
-    /// total in-flight operations stay bounded across a migration.
-    permit: OwnedSemaphorePermit,
+    call: Call,
+    ticket: Ticket,
+}
+
+/// The caller's side of a [`PendingOp`].
+struct Ticket {
+    /// Window slot, released on drop. A redirected op keeps the permit of
+    /// the pipe it was submitted on, so total in-flight operations stay
+    /// bounded across a migration.
+    _permit: OwnedSemaphorePermit,
     done: oneshot::Sender<Result<OpResult, ClientError>>,
     /// How many times this op has been re-routed to a different pipe.
     redirects: u32,
@@ -534,6 +579,11 @@ impl PipelinedClient {
         &self.inner
     }
 
+    /// Number of per-master pipes currently held — diagnostics.
+    pub fn pipe_count(&self) -> usize {
+        self.pipes.lock().len()
+    }
+
     /// Enqueues an operation (mutation or read) on its partition's pipeline.
     ///
     /// Suspends while the partition's window is full — this is the
@@ -549,14 +599,14 @@ impl PipelinedClient {
             }
             Err(e) => return Err(e),
         };
-        let (window, queue) = self.pipe_for(&part);
-        let permit = window
-            .acquire_owned()
-            .await
+        let pipe = self.pipe_for(&part);
+        let permit = (pipe.window.acquire_owned().await)
             .map_err(|_| ClientError::Exhausted("pipeline window closed".into()))?;
-        let rpc_id = self.inner.state.lock().rifl.next_rpc_id();
+        let call = self.inner.new_call(op, footprint);
+        let rpc_id = call.rpc_id;
         let (done, rx) = oneshot::channel();
-        if queue.send(PendingOp { rpc_id, op, footprint, permit, done, redirects: 0 }).is_err() {
+        let ticket = Ticket { _permit: permit, done, redirects: 0 };
+        if pipe.queue.send(PendingOp { call, ticket }).is_err() {
             return Err(ClientError::Exhausted("pipeline flusher gone".into()));
         }
         Ok(Completion { rpc_id, rx })
@@ -570,35 +620,34 @@ impl PipelinedClient {
 
     /// Returns (creating on first use) the pipe for `part`'s master.
     ///
-    /// A partition that moves to a new master incarnation simply gets a new
-    /// pipe; the old flusher drains its queue and then idles harmlessly
-    /// until the client is dropped.
-    fn pipe_for(
-        &self,
-        part: &PartitionConfig,
-    ) -> (Arc<Semaphore>, mpsc::UnboundedSender<PendingOp>) {
+    /// A master id without a pipe means the map changed, so that is also
+    /// when pipes of incarnations it no longer lists are dropped — every
+    /// recovery mints a new id, and each dead one would otherwise keep a
+    /// task, a channel and a semaphore. A dropped pipe's flusher drains its
+    /// queue (through [`redirect_moved`]) and exits with its last sender.
+    fn pipe_for(&self, part: &PartitionConfig) -> Pipe {
+        if let Some(pipe) = self.pipes.lock().get(&part.master_id) {
+            return pipe.clone();
+        }
+        // Lock ranks ascend: state is released before pipes is retaken.
+        let live: HashSet<MasterId> =
+            self.inner.state.lock().config.partitions.iter().map(|p| p.master_id).collect();
         let mut pipes = self.pipes.lock();
+        pipes.retain(|id, _| live.contains(id));
         let pipe = pipes.entry(part.master_id).or_insert_with(|| {
-            let window = Arc::new(Semaphore::new(self.cfg.window));
-            let (tx, rx) = mpsc::unbounded_channel();
-            tokio::spawn(run_pipe(
-                Arc::clone(&self.inner),
-                self.self_weak.clone(),
-                part.master_id,
-                self.cfg.max_batch,
-                rx,
-            ));
-            Pipe { queue: tx, window }
+            let (queue, rx) = mpsc::unbounded_channel();
+            let (inner, pipeline) = (Arc::clone(&self.inner), self.self_weak.clone());
+            tokio::spawn(run_pipe(inner, pipeline, part.master_id, self.cfg.max_batch, rx));
+            Pipe { queue, window: Arc::new(Semaphore::new(self.cfg.window)) }
         });
-        (Arc::clone(&pipe.window), pipe.queue.clone())
+        pipe.clone()
     }
 }
 
 /// Per-partition flusher: drains the queue into batches of at most
 /// `max_batch` ops and spawns one flush per batch. Flushes overlap — the
-/// pipe keeps draining while earlier batches' RPCs are in flight; the
 /// window semaphore is what bounds total outstanding operations. Exits when
-/// the owning [`PipelinedClient`] is dropped.
+/// its pipe is dropped and the queue is empty.
 async fn run_pipe(
     inner: Arc<CurpClient>,
     pipeline: Weak<PipelinedClient>,
@@ -618,182 +667,56 @@ async fn run_pipe(
     }
 }
 
-/// Sends one flushed batch: the master update/read batch in parallel with
-/// one record batch per witness, then resolves every op per the fast-path
-/// rules (or coalesces one sync RPC / falls back per op).
+/// One flushed batch is one attempt; a completion goes to its caller at
+/// once, refused ops together to [`redirect_moved`], lost ones to [`fallback`].
 async fn flush_batch(
     inner: Arc<CurpClient>,
     pipeline: Weak<PipelinedClient>,
     master_id: MasterId,
     batch: Vec<PendingOp>,
 ) {
-    let (part, first_incomplete) = {
-        let st = inner.state.lock();
-        (st.config.partition_by_master(master_id).cloned(), st.rifl.first_incomplete())
-    };
+    let part = inner.state.lock().config.partition_by_master(master_id).cloned();
     let Some(part) = part else {
         // The partition vanished from the map while queued (split, churn):
         // refresh once and re-route the whole batch to the new owners.
-        redirect_moved(&inner, &pipeline, batch);
-        return;
+        return redirect_moved(&inner, &pipeline, batch);
     };
-    let record_witnesses = inner.cfg.record_witnesses;
-
-    let mut master_reqs = Vec::with_capacity(batch.len());
-    let mut record_reqs = Vec::new();
-    // batch index of the op behind each record request (reads record nothing).
-    let mut record_slots = Vec::new();
-    for (i, p) in batch.iter().enumerate() {
-        if p.op.is_read_only() {
-            master_reqs.push(Request::ClientRead { op: p.op.clone() });
-            continue;
-        }
-        master_reqs.push(Request::ClientUpdate {
-            rpc_id: p.rpc_id,
-            first_incomplete,
-            witness_list_version: part.witness_list_version,
-            op: p.op.clone(),
-        });
-        if record_witnesses && !part.witnesses.is_empty() {
-            // Each record keeps its own footprint: the witness checks
-            // commutativity per op, exactly as in the unbatched path.
-            record_reqs.push(Request::WitnessRecord {
-                request: RecordedRequest {
-                    master_id: part.master_id,
-                    rpc_id: p.rpc_id,
-                    key_hashes: p.footprint.clone(),
-                    op: p.op.clone(),
-                },
-            });
-            record_slots.push(i);
-        }
-    }
-
-    let record_futs: Vec<_> = if record_reqs.is_empty() {
-        Vec::new()
-    } else {
-        part.witnesses.iter().map(|&w| inner.rpc.call_batch(w, record_reqs.clone())).collect()
-    };
-    let master_fut = inner.rpc.call_batch(part.master, master_reqs);
-    let (master_rsp, witness_rsps) = tokio::join!(master_fut, futures_join_all(record_futs));
-
-    let master_rsps = match master_rsp {
-        Ok(r) if r.len() == batch.len() => r,
-        _ => {
-            for p in batch {
-                fallback(&inner, p);
-            }
-            return;
+    let (calls, mut tickets): (Vec<Call>, Vec<Option<Ticket>>) =
+        batch.into_iter().map(|p| (p.call, Some(p.ticket))).unzip();
+    let mut moved = Vec::new();
+    let settle = |i: usize, verdict| {
+        let Some(ticket) = tickets[i].take() else { return };
+        match verdict {
+            // Dropping the rest of the ticket releases the op's window slot.
+            Verdict::Done(result) => drop(ticket.done.send(Ok(result))),
+            Verdict::Refused(_) => moved.push(PendingOp { call: calls[i].clone(), ticket }),
+            Verdict::Lost(_) => fallback(&inner, PendingOp { call: calls[i].clone(), ticket }),
         }
     };
-
-    // accepted[j]: every witness accepted record_reqs[j]. An unreachable or
-    // short-replying witness fails the whole flush's records (the op is not
-    // durable on all f witnesses), same as the unbatched all-accepted rule.
-    let mut accepted = vec![!witness_rsps.is_empty(); record_slots.len()];
-    for w in &witness_rsps {
-        match w {
-            Ok(rsps) if rsps.len() == accepted.len() => {
-                for (j, r) in rsps.iter().enumerate() {
-                    if !matches!(r, Response::RecordAccepted) {
-                        accepted[j] = false;
-                    }
-                }
-            }
-            _ => accepted.iter_mut().for_each(|a| *a = false),
-        }
-    }
-    let mut accepted_at: HashMap<usize, bool> = record_slots.into_iter().zip(accepted).collect();
-
-    let mut need_sync: Vec<(PendingOp, OpResult)> = Vec::new();
-    let mut moved: Vec<PendingOp> = Vec::new();
-    for (i, (p, rsp)) in batch.into_iter().zip(master_rsps).enumerate() {
-        match rsp {
-            // Reads hold no completion record at the master, but their RIFL
-            // id must still be acknowledged or the piggybacked watermark
-            // (and with it completion-record GC) would stall behind them.
-            Response::Read { result } => complete(&inner, p, result),
-            Response::Update { result, synced } => {
-                if synced {
-                    inner.stats.synced_by_master.fetch_add(1, Ordering::Relaxed);
-                    complete(&inner, p, result);
-                } else if !record_witnesses
-                    // Async baseline completes unrecorded; otherwise the
-                    // 1-RTT rule: all f witnesses accepted (or f == 0).
-                    || accepted_at.remove(&i).unwrap_or(false)
-                    || part.fault_tolerance() == 0
-                {
-                    inner.stats.fast_path.fetch_add(1, Ordering::Relaxed);
-                    complete(&inner, p, result);
-                } else {
-                    need_sync.push((p, result));
-                }
-            }
-            // NotOwner (the range split away) / StaleWitnessList / Retry
-            // (sealed mid-migration): refresh the map once for the whole
-            // flush and put the op back on its (possibly new) owner's pipe.
-            _ => moved.push(p),
-        }
-    }
+    inner.attempt(&part, &calls, settle).await;
     redirect_moved(&inner, &pipeline, moved);
-
-    if !need_sync.is_empty() {
-        // One explicit sync covers every op in the flush: a successful sync
-        // makes the master's whole unsynced prefix durable (§3.2.3). Like
-        // the unbatched path, it is bound to the incarnation that executed
-        // the flush — a recovered successor must refuse.
-        match inner.rpc.call(part.master, Request::Sync { master_id: part.master_id }).await {
-            Ok(Response::SyncDone) => {
-                for (p, result) in need_sync {
-                    inner.stats.explicit_sync.fetch_add(1, Ordering::Relaxed);
-                    complete(&inner, p, result);
-                }
-            }
-            _ => {
-                for (p, _) in need_sync {
-                    fallback(&inner, p);
-                }
-            }
-        }
-    }
 }
 
-/// Resolves a pipelined mutation: records RIFL completion, delivers the
-/// result, and (by dropping the op) releases its window slot.
-fn complete(inner: &Arc<CurpClient>, p: PendingOp, result: OpResult) {
-    inner.state.lock().rifl.complete(p.rpc_id);
-    let _ = p.done.send(Ok(result));
-}
-
-/// Restarts one op through the one-op retry path (same RIFL id, so a
+/// Restarts one op through the one-op retry loop (same RIFL id, so a
 /// re-execution is filtered) without stalling the flusher.
 fn fallback(inner: &Arc<CurpClient>, p: PendingOp) {
     let inner = Arc::clone(inner);
     tokio::spawn(async move {
-        let PendingOp { rpc_id, op, permit, done, .. } = p;
-        let res = if op.is_read_only() {
-            let res = inner.read(op).await;
-            // No completion record exists for a read; acknowledge its id
-            // unconditionally so the RIFL watermark keeps advancing.
-            inner.state.lock().rifl.complete(rpc_id);
-            res
-        } else {
-            // update_with_id records the RIFL completion itself on success.
-            inner.update_with_id(rpc_id, op).await
-        };
-        let _ = done.send(res);
-        drop(permit);
+        // Take `p` whole: naming only `p.call` and `p.ticket.done` would
+        // capture just those and release the window slot right here.
+        let PendingOp { call, ticket } = p;
+        // The batched attempt was this op's first; the loop counts its own.
+        inner.stats.restarts.fetch_add(1, Ordering::Relaxed);
+        let res = inner.run(&call).await;
+        let _ = ticket.done.send(res);
     });
 }
 
-/// Re-routes ops refused by a master whose range moved: refreshes the map
-/// once, then re-enqueues each op on the pipe of whichever partition owns
-/// it under the refreshed map. This is what keeps a partition split
-/// invisible to throughput — the moved range's traffic hops to the new
-/// master's pipe and stays batched, rather than degrading permanently to
-/// the serial retry loop. Ops that exhaust [`MAX_REDIRECTS`], ops the
+/// Re-routes refused ops: refreshes the map once, then re-enqueues each op
+/// on the pipe of whichever partition owns it now, so the moved range's
+/// traffic stays batched. Ops that exhaust [`MAX_REDIRECTS`], ops the
 /// refreshed map cannot route, and everything after the owning
-/// [`PipelinedClient`] is dropped fall back to [`fallback`].
+/// [`PipelinedClient`] is dropped go to [`fallback`].
 fn redirect_moved(
     inner: &Arc<CurpClient>,
     pipeline: &Weak<PipelinedClient>,
@@ -802,20 +725,16 @@ fn redirect_moved(
     if moved.is_empty() {
         return;
     }
-    let inner = Arc::clone(inner);
-    let pipeline = pipeline.clone();
+    let (inner, pipeline) = (Arc::clone(inner), pipeline.clone());
     tokio::spawn(async move {
         inner.refresh_config().await.ok();
+        let pipeline = pipeline.upgrade();
         for mut p in moved {
-            let routed = pipeline.upgrade().and_then(|pl| {
-                let part = inner.route(&p.footprint).ok()?;
-                Some((pl, part))
-            });
-            match routed {
-                Some((pl, part)) if p.redirects < MAX_REDIRECTS => {
-                    p.redirects += 1;
-                    let (_, queue) = pl.pipe_for(&part);
-                    if let Err(back) = queue.send(p) {
+            let owner = pipeline.as_ref().zip(inner.route(&p.call.footprint).ok());
+            match owner {
+                Some((pl, part)) if p.ticket.redirects < MAX_REDIRECTS => {
+                    p.ticket.redirects += 1;
+                    if let Err(back) = pl.pipe_for(&part).queue.send(p) {
                         fallback(&inner, back.0);
                     }
                 }
@@ -828,6 +747,53 @@ fn redirect_moved(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every row of §3.2.1: (master reply, every witness accepted, f,
+    /// record_witnesses) -> the path the op takes, or the refusal.
+    #[test]
+    fn verdict_table() {
+        use curp_proto::types::WitnessListVersion;
+        let done = OpResult::Written { version: 7 };
+        let update = |synced| Response::Update { result: done.clone(), synced };
+        let on = |path| Ok((path, done.clone()));
+        let refused = |why: &str| Err(why.to_string());
+        let stale = Response::StaleWitnessList { current: WitnessListVersion(2) };
+        let rows = [
+            (Response::Read { result: done.clone() }, false, 3, true, on(Path::Read)),
+            // Synced by the master: witnesses are irrelevant.
+            (update(true), false, 3, true, on(Path::Synced)),
+            (update(true), true, 3, true, on(Path::Synced)),
+            // Speculative: all f accepted, else the explicit sync.
+            (update(false), true, 3, true, on(Path::Fast)),
+            (update(false), false, 3, true, on(Path::Unsynced)),
+            // f = 0 has nothing to wait for; the async baseline does not wait.
+            (update(false), false, 0, true, on(Path::Fast)),
+            (update(false), false, 3, false, on(Path::Fast)),
+            // Refusals, whatever the witnesses said.
+            (Response::NotOwner, true, 3, true, refused("not owner")),
+            (stale, true, 3, true, refused("stale witness list")),
+            (Response::Retry { reason: "draining".into() }, true, 3, true, refused("draining")),
+            (Response::SyncDone, true, 3, true, refused("unexpected: SyncDone")),
+        ];
+        for (master, accepted, f, record_witnesses, want) in rows {
+            let row = format!("{master:?} accepted={accepted} f={f} record={record_witnesses}");
+            assert_eq!(judge(master, accepted, f, record_witnesses), want, "{row}");
+        }
+    }
+
+    #[test]
+    fn a_record_counts_only_when_every_witness_accepted_it() {
+        use Response::{RecordAccepted as A, RecordRejected as R};
+        let unreachable = || Err(RpcError::Timeout { to: ServerId(3) });
+        // No witness answered at all (none asked): nothing is accepted.
+        assert_eq!(accepted_by_all(&[], 2), [false, false]);
+        assert_eq!(accepted_by_all(&[Ok(vec![A, A]), Ok(vec![A, A])], 2), [true, true]);
+        // One rejection sinks that record only.
+        assert_eq!(accepted_by_all(&[Ok(vec![A, R]), Ok(vec![A, A])], 2), [true, false]);
+        // An unreachable or short-replying witness accepted nothing.
+        assert_eq!(accepted_by_all(&[Ok(vec![A, A]), unreachable()], 2), [false, false]);
+        assert_eq!(accepted_by_all(&[Ok(vec![A, A]), Ok(vec![A])], 2), [false, false]);
+    }
 
     #[test]
     fn retry_delay_ramps_and_caps() {

@@ -40,10 +40,10 @@ use curp_proto::message::{Request, Response};
 use curp_proto::types::{ClientId, Epoch, MasterId, ServerId, WitnessListVersion};
 use curp_rifl::LeaseManager;
 use curp_storage::IntentLog;
-use curp_transport::rpc::{BoxFuture, RpcClient, RpcHandler};
+use curp_transport::rpc::{join_all, BoxFuture, RpcClient, RpcHandler};
 use parking_lot::Mutex;
 
-use crate::master::{futures_join_all, Master, MasterConfig, MasterSeed};
+use crate::master::{Master, MasterConfig, MasterSeed};
 use crate::server::CurpServer;
 
 /// Factory producing an [`RpcClient`] whose calls originate from a given
@@ -744,7 +744,7 @@ impl Coordinator {
             .witnesses
             .iter()
             .map(|&w| rpc.call(w, Request::WitnessEnd { master_id: spec.crashed }));
-        let _ = futures_join_all(ends).await;
+        let _ = join_all(ends).await;
         // Drop the crashed master's replicas (and, on durable backups, their
         // on-disk AOF/snapshot). Safe here: the new master's install was
         // acknowledged by every backup before publish, so the old files can
@@ -778,7 +778,7 @@ impl Coordinator {
         let rpc = (self.client_for)(new_srv);
         let ends =
             witnesses.iter().map(|&w| rpc.call(w, Request::WitnessEnd { master_id: new_id }));
-        let _ = futures_join_all(ends).await;
+        let _ = join_all(ends).await;
         for &b in backups {
             if let Ok(srv) = self.server(b) {
                 srv.backup().drop_replica(new_id);

@@ -51,7 +51,7 @@ use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{Epoch, KeyHash, MasterId, RpcId, ServerId, WitnessListVersion};
 use curp_rifl::{CheckResult, RiflTable};
 use curp_storage::{StateStore, StoreConfig};
-use curp_transport::rpc::RpcClient;
+use curp_transport::rpc::{join_all, RpcClient};
 use parking_lot::Mutex;
 use tokio::sync::{watch, Notify};
 
@@ -678,7 +678,7 @@ impl Master {
                 Request::BackupSync { master_id: self.id, epoch, entries: vec![entry.clone()] },
             )
         });
-        let results = futures_join_all(calls).await;
+        let results = join_all(calls).await;
         drop(permit);
         for r in results {
             match r {
@@ -758,7 +758,7 @@ impl Master {
                         Request::BackupSync { master_id: self.id, epoch, entries: entries.clone() },
                     )
                 });
-                let results = futures_join_all(calls).await;
+                let results = join_all(calls).await;
                 let mut all_ok = true;
                 for r in results {
                     match r {
@@ -829,7 +829,7 @@ impl Master {
                     .call(w, Request::WitnessGc { master_id: self.id, entries: gc_pairs.clone() })
             });
             self.stats.gcs_sent.fetch_add(witnesses.len() as u64, Ordering::Relaxed);
-            let results = futures_join_all(calls).await;
+            let results = join_all(calls).await;
             for r in results.into_iter().flatten() {
                 if let Response::GcDone { stale } = r {
                     self.handle_suspected_garbage(stale);
@@ -1010,7 +1010,7 @@ impl Master {
                 },
             )
         });
-        for r in futures_join_all(calls).await {
+        for r in join_all(calls).await {
             match r {
                 Ok(Response::BackupInstalled) => {}
                 other => return Err(format!("backup install failed: {other:?}")),
@@ -1147,7 +1147,3 @@ impl Master {
         }
     }
 }
-
-// The transport layer owns the one minimal join_all (it needs it for batch
-// fan-out); re-exported under the historical name for this crate's callers.
-pub(crate) use curp_transport::rpc::join_all as futures_join_all;

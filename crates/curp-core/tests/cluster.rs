@@ -2,6 +2,7 @@
 //! conflicts, crash recovery, reconfiguration, migration, zombies, leases
 //! and consistent backup reads.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,7 +15,7 @@ use curp_proto::cluster::HashRange;
 use curp_proto::message::{Request, Response};
 use curp_proto::op::{Op, OpResult};
 use curp_proto::types::{MasterId, ServerId};
-use curp_transport::MemNetwork;
+use curp_transport::{BoxFuture, MemNetwork, RpcClient, RpcError};
 use curp_witness::cache::CacheConfig;
 
 const COORD: ServerId = ServerId(1000);
@@ -24,6 +25,7 @@ struct TestCluster {
     coord: Arc<Coordinator>,
     servers: Vec<Arc<CurpServer>>,
     master_id: MasterId,
+    f: usize,
 }
 
 impl TestCluster {
@@ -34,6 +36,21 @@ impl TestCluster {
     }
 
     async fn with_lease_ttl(f: usize, master_cfg: MasterConfig, ttl_ms: u64) -> TestCluster {
+        let mut cluster = Self::boot(f, 2, master_cfg, ttl_ms, CacheConfig::default());
+        cluster.create_partition().await;
+        cluster
+    }
+
+    /// Boots the coordinator and the servers — `s1` for the master, `f`
+    /// backup+witness co-hosts on `s2..`, then `spares` recovery/migration
+    /// targets — without creating the partition.
+    fn boot(
+        f: usize,
+        spares: usize,
+        master_cfg: MasterConfig,
+        ttl_ms: u64,
+        witness_cfg: CacheConfig,
+    ) -> TestCluster {
         let net = MemNetwork::new(42);
         net.set_rpc_timeout(Duration::from_millis(100));
         let net_for_factory = net.clone();
@@ -43,22 +60,24 @@ impl TestCluster {
             COORD,
             Arc::new(curp_core::coordinator::CoordinatorHandler(Arc::clone(&coord))),
         );
-        // Servers: s1 = master; s2..=s1+f host backup+witness; plus two
-        // spares (s8, s9) for recovery/migration targets.
         let mut servers = Vec::new();
-        for i in 1..=(1 + f).max(1) + 2 {
-            let s = CurpServer::new(ServerId(i as u64), CacheConfig::default());
+        for i in 1..=1 + f + spares {
+            let s = CurpServer::new(ServerId(i as u64), witness_cfg);
             net.add_simple_server(s.id(), Arc::new(ServerHandler(Arc::clone(&s))));
             coord.register_server(Arc::clone(&s));
             servers.push(s);
         }
-        let backups: Vec<ServerId> = (2..2 + f).map(|i| ServerId(i as u64)).collect();
+        TestCluster { net, coord, servers, master_id: MasterId(0), f }
+    }
+
+    async fn create_partition(&mut self) {
+        let backups: Vec<ServerId> = (2..2 + self.f).map(|i| ServerId(i as u64)).collect();
         let witnesses = backups.clone();
-        let master_id = coord
+        self.master_id = self
+            .coord
             .create_partition(ServerId(1), backups, witnesses, HashRange::FULL)
             .await
             .expect("create partition");
-        TestCluster { net, coord, servers, master_id }
     }
 
     async fn client(&self) -> CurpClient {
@@ -585,4 +604,249 @@ async fn pipelined_completions_survive_master_crash_recovery() {
             "cr{i} lost in recovery"
         );
     }
+}
+
+// ---- one client path ----------------------------------------------------------
+
+fn load(counter: &std::sync::atomic::AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+/// The four path counters, in declaration order.
+fn stats_of(client: &CurpClient) -> [u64; 4] {
+    let s = &client.stats;
+    [load(&s.fast_path), load(&s.synced_by_master), load(&s.explicit_sync), load(&s.restarts)]
+}
+
+/// Answers every witness record with `RecordRejected` and the first sync
+/// with `Retry`; everything else reaches the network. Batches fall to the
+/// trait's default (one `call` per request), so they are filtered too.
+struct RejectRecordsRefuseFirstSync {
+    inner: Arc<dyn RpcClient>,
+    sync_refused: AtomicBool,
+}
+
+impl RpcClient for RejectRecordsRefuseFirstSync {
+    fn call(&self, to: ServerId, req: Request) -> BoxFuture<'static, Result<Response, RpcError>> {
+        match req {
+            Request::WitnessRecord { .. } => Box::pin(async { Ok(Response::RecordRejected) }),
+            Request::Sync { .. } if !self.sync_refused.swap(true, Ordering::Relaxed) => {
+                Box::pin(async { Ok(Response::Retry { reason: "first sync refused".into() }) })
+            }
+            req => self.inner.call(to, req),
+        }
+    }
+}
+
+/// A client of `cluster` behind a fresh [`RejectRecordsRefuseFirstSync`].
+async fn rejected_client(cluster: &TestCluster, id: u64) -> CurpClient {
+    let rpc = Arc::new(RejectRecordsRefuseFirstSync {
+        inner: cluster.net.client(ServerId(id)),
+        sync_refused: AtomicBool::new(false),
+    });
+    CurpClient::connect(rpc, COORD, ClientConfig::default()).await.expect("connect")
+}
+
+#[tokio::test(start_paused = true)]
+async fn each_update_is_counted_under_one_path_even_when_its_sync_is_refused() {
+    const N: u64 = 6;
+    let cluster = TestCluster::new(3, lazy_cfg()).await;
+
+    // Serial front end: every update is speculative at the master and
+    // rejected by the witnesses, so each needs the explicit sync; the first
+    // sync is refused and that op restarts under its RIFL id.
+    let serial = rejected_client(&cluster, 600).await;
+    for i in 0..N {
+        let r = serial.update(Op::Incr { key: b(&format!("s{i}")), delta: 1 }).await.unwrap();
+        assert_eq!(r, OpResult::Counter(1), "a restart must not re-execute");
+    }
+    let [fast, synced, explicit, restarts] = stats_of(&serial);
+    assert_eq!(fast + synced + explicit, N, "one path per completed update");
+    assert!(restarts >= 1);
+
+    // Pipelined front end: the whole flush shares the refused sync and
+    // restarts op by op.
+    let client = Arc::new(rejected_client(&cluster, 601).await);
+    let pipe = PipelinedClient::new(Arc::clone(&client), PipelineConfig::default());
+    let mut completions = Vec::new();
+    for i in 0..N {
+        completions.push(pipe.submit(Op::Incr { key: b(&format!("p{i}")), delta: 1 }).await);
+    }
+    for c in completions {
+        assert_eq!(c.unwrap().await.unwrap(), OpResult::Counter(1));
+    }
+    let [fast, synced, explicit, restarts] = stats_of(&client);
+    assert_eq!(fast + synced + explicit, N, "one path per completed update");
+    assert!(restarts >= 1);
+}
+
+#[tokio::test(start_paused = true)]
+async fn read_recovers_once_the_partition_appears() {
+    let mut cluster = TestCluster::boot(3, 2, lazy_cfg(), 60_000, CacheConfig::default());
+    // Connected before any partition exists: the cached map owns no key.
+    let client = cluster.client().await;
+    cluster.create_partition().await;
+    // Like `update`, `read` refreshes the map and retries instead of
+    // giving up with `NoPartition`.
+    assert_eq!(client.read(get("k")).await.unwrap(), OpResult::Value(None));
+    client.update(put("k", "v")).await.unwrap();
+    assert_eq!(client.read(get("k")).await.unwrap(), OpResult::Value(Some(b("v"))));
+}
+
+#[tokio::test(start_paused = true)]
+async fn pipes_of_dead_master_incarnations_are_dropped() {
+    const ROUNDS: usize = 5;
+    let mut cluster = TestCluster::boot(3, ROUNDS, lazy_cfg(), 60_000, CacheConfig::default());
+    cluster.create_partition().await;
+    let client = Arc::new(cluster.client().await);
+    let pipe = PipelinedClient::new(Arc::clone(&client), PipelineConfig::default());
+
+    // Pipelined load for the whole run: 4 ops per millisecond.
+    let stop = Arc::new(AtomicBool::new(false));
+    let load = {
+        let (pipe, stop) = (Arc::clone(&pipe), Arc::clone(&stop));
+        tokio::spawn(async move {
+            let mut completions = Vec::new();
+            for i in 0.. {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                completions.push(pipe.submit(put(&format!("churn{}", i % 64), "v")).await);
+                if i % 4 == 3 {
+                    tokio::time::sleep(Duration::from_millis(1)).await;
+                }
+            }
+            completions
+        })
+    };
+
+    // Every round mints a new master id on the next spare.
+    let (mut master_id, mut master_srv) = (cluster.master_id, ServerId(1));
+    for round in 0..ROUNDS {
+        tokio::time::sleep(Duration::from_millis(20)).await;
+        cluster.net.crash(master_srv);
+        cluster.server(master_srv.0 as usize).seal_master();
+        let target = ServerId((5 + round) as u64);
+        master_id = cluster.coord.recover_master(master_id, target).await.expect("recover");
+        master_srv = target;
+    }
+    tokio::time::sleep(Duration::from_millis(20)).await;
+    stop.store(true, Ordering::Relaxed);
+
+    let completions = load.await.unwrap();
+    assert!(completions.len() > ROUNDS * 16, "load ran through every round");
+    for c in completions {
+        c.expect("submit").await.expect("every submitted op completes");
+    }
+    let live = cluster.coord.config().partitions.len();
+    assert!(pipe.pipe_count() <= live, "{} pipes for {live} partition(s)", pipe.pipe_count());
+}
+
+/// A tiny deterministic generator (xorshift64*), so the stream below does
+/// not depend on a rand crate.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32
+    }
+
+    /// Puts and gets over four keys, increments and gets over four more.
+    fn op(&mut self) -> Op {
+        let key = self.next() % 4;
+        match self.next() % 10 {
+            0..=3 => put(&format!("k{key}"), &format!("v{}", self.next() % 100)),
+            4..=6 => Op::Incr { key: b(&format!("c{key}")), delta: 1 + (self.next() % 3) as i64 },
+            7..=8 => get(&format!("k{key}")),
+            _ => get(&format!("c{key}")),
+        }
+    }
+}
+
+/// What the equivalence test compares: per-op results, path counters, the
+/// master's state as its backups hold it after a final sync, and how many
+/// requests the master and each witness host received.
+#[derive(Debug, PartialEq)]
+struct Trace {
+    results: Vec<OpResult>,
+    stats: [u64; 4],
+    state: Bytes,
+    requests_in: Vec<u64>,
+}
+
+/// Runs the seeded stream on a fresh cluster, one op at a time, through
+/// `issue`. The two-slot witness cache makes a third unsynced key a false
+/// conflict: the witness rejects while the master sees none, which is the
+/// explicit-sync row.
+async fn trace_stream<F, Fut>(connect: impl FnOnce(Arc<CurpClient>) -> F) -> Trace
+where
+    F: Fn(Op) -> Fut,
+    Fut: std::future::Future<Output = OpResult>,
+{
+    let witness_cfg = CacheConfig { total_slots: 2, associativity: 2, ..CacheConfig::default() };
+    let mut cluster = TestCluster::boot(3, 0, lazy_cfg(), 60_000, witness_cfg);
+    cluster.create_partition().await;
+    let client = Arc::new(cluster.client().await);
+    let issue = connect(Arc::clone(&client));
+    let mut stream = Stream(0x5EED_CAFE);
+    let mut results = Vec::new();
+    for _ in 0..300 {
+        results.push(issue(stream.op()).await);
+    }
+    let stats = stats_of(&client);
+    assert!(cluster.server(1).master().unwrap().sync().await);
+    let requests_in =
+        (1..=4).map(|i| load(&cluster.net.stats(ServerId(i)).unwrap().requests_in)).collect();
+    let state = cluster.server(2).backup().fetch(cluster.master_id).1.to_blob();
+    Trace { results, stats, state, requests_in }
+}
+
+#[tokio::test(start_paused = true)]
+async fn serial_and_window_one_pipelined_front_ends_are_equivalent() {
+    let serial = trace_stream(|client| {
+        move |op: Op| {
+            let client = Arc::clone(&client);
+            async move {
+                if op.is_read_only() {
+                    client.read(op).await.unwrap()
+                } else {
+                    client.update(op).await.unwrap()
+                }
+            }
+        }
+    })
+    .await;
+    let pipelined = trace_stream(|client| {
+        let pipe = PipelinedClient::new(client, PipelineConfig { window: 1, max_batch: 1 });
+        move |op: Op| {
+            let pipe = Arc::clone(&pipe);
+            async move { pipe.update(op).await.unwrap() }
+        }
+    })
+    .await;
+    // The stream must reach every row of the §3.2.1 table, or equality
+    // below proves less than it claims.
+    let [fast, synced, explicit, restarts] = serial.stats;
+    assert!(fast > 0 && synced > 0 && explicit > 0, "paths not all taken: {:?}", serial.stats);
+    assert_eq!(restarts, 0);
+    assert_eq!(serial, pipelined);
+}
+
+#[tokio::test(start_paused = true)]
+async fn a_restarting_pipelined_op_keeps_its_window_slot() {
+    let cluster = TestCluster::new(3, lazy_cfg()).await;
+    let client = Arc::new(rejected_client(&cluster, 600).await);
+    let pipe =
+        PipelinedClient::new(Arc::clone(&client), PipelineConfig { window: 1, max_batch: 1 });
+    // The first op's sync is refused, so it restarts through the retry
+    // loop. It still occupies the one-slot window: the second submit may
+    // not be admitted before the first has completed.
+    let first = pipe.submit(put("a", "1")).await.unwrap();
+    let second = pipe.submit(put("b", "2")).await.unwrap();
+    let [fast, synced, explicit, restarts] = stats_of(&client);
+    assert_eq!((fast + synced + explicit, restarts), (1, 1), "admitted before the restart ended");
+    assert!(first.await.is_ok() && second.await.is_ok());
 }

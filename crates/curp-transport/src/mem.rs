@@ -34,7 +34,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::RpcError;
 use crate::latency::{Fixed, LatencyModel};
-use crate::rpc::{join_all, BoxFuture, RpcClient, SharedHandler};
+use crate::rpc::{call_batched, dispatch, BoxFuture, RpcClient, SharedHandler};
 
 /// Per-server simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -458,7 +458,7 @@ impl MemNetwork {
                 let dup_req = req.clone();
                 tokio::spawn(async move {
                     net.occupy_dispatch(to).await;
-                    let _ = deliver(&dup_handler, from, dup_req).await;
+                    let _ = dispatch(&dup_handler, from, dup_req).await;
                 });
             }
             stats.requests_in.fetch_add(1, Ordering::Relaxed);
@@ -469,7 +469,7 @@ impl MemNetwork {
             // amortization that makes client batching pay off against a
             // dispatch-bound server (§C.1).
             self.occupy_dispatch(to).await;
-            let rsp = deliver(&handler, from, req).await;
+            let rsp = dispatch(&handler, from, req).await;
             // If the server crashed while processing, its response is lost.
             if self.is_crashed(to) {
                 std::future::pending::<()>().await;
@@ -496,20 +496,6 @@ impl MemNetwork {
     }
 }
 
-/// Hands one delivered message to the destination handler. A batch is
-/// unwrapped here: inner requests are handled independently and
-/// concurrently; responses stay in request order however the handlers
-/// interleave.
-async fn deliver(handler: &SharedHandler, from: ServerId, req: Request) -> Response {
-    match req {
-        Request::Batch { requests } => {
-            let futs: Vec<_> = requests.into_iter().map(|r| handler.handle(from, r)).collect();
-            Response::Batch { responses: join_all(futs).await }
-        }
-        req => handler.handle(from, req).await,
-    }
-}
-
 /// Wait-for-crashed-server behaviour: a crashed destination produces a
 /// timeout, not an instant error, so we surface it through the same path.
 struct MemClient {
@@ -531,16 +517,7 @@ impl RpcClient for MemClient {
     ) -> BoxFuture<'static, Result<Vec<Response>, RpcError>> {
         let net = self.net.clone();
         let from = self.from;
-        Box::pin(async move {
-            if reqs.is_empty() {
-                return Ok(Vec::new());
-            }
-            let n = reqs.len();
-            match net.do_call(from, to, Request::Batch { requests: reqs }).await? {
-                Response::Batch { responses } if responses.len() == n => Ok(responses),
-                _ => Err(RpcError::BatchMismatch { to }),
-            }
-        })
+        Box::pin(call_batched(to, reqs, move |batch| net.do_call(from, to, batch)))
     }
 }
 

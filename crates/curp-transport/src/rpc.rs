@@ -31,6 +31,45 @@ where
     out
 }
 
+/// Server side of a [`Request::Batch`] frame, shared by every transport:
+/// the inner requests are handled independently and concurrently, and the
+/// one [`Response::Batch`] reply stays in request order however the
+/// handlers' completions interleave. Any other request goes straight to the
+/// handler.
+pub(crate) async fn dispatch(handler: &SharedHandler, from: ServerId, req: Request) -> Response {
+    match req {
+        Request::Batch { requests } => {
+            let futs: Vec<_> = requests.into_iter().map(|r| handler.handle(from, r)).collect();
+            Response::Batch { responses: join_all(futs).await }
+        }
+        req => handler.handle(from, req).await,
+    }
+}
+
+/// Client side of a batch, shared by every transport that overrides
+/// [`RpcClient::call_batch`]: `reqs` travel as ONE [`Request::Batch`]
+/// message through the transport's own `call`, and the single reply is
+/// unwrapped after checking it answers every request —
+/// [`RpcError::BatchMismatch`] otherwise. An empty batch never reaches
+/// `call`.
+pub(crate) async fn call_batched<Fut>(
+    to: ServerId,
+    reqs: Vec<Request>,
+    call: impl FnOnce(Request) -> Fut,
+) -> Result<Vec<Response>, RpcError>
+where
+    Fut: Future<Output = Result<Response, RpcError>>,
+{
+    if reqs.is_empty() {
+        return Ok(Vec::new());
+    }
+    let n = reqs.len();
+    match call(Request::Batch { requests: reqs }).await? {
+        Response::Batch { responses } if responses.len() == n => Ok(responses),
+        _ => Err(RpcError::BatchMismatch { to }),
+    }
+}
+
 /// Client half: issue a request to a server and await its response.
 pub trait RpcClient: Send + Sync + 'static {
     /// Sends `req` to `to` and resolves with its response.
@@ -43,12 +82,13 @@ pub trait RpcClient: Send + Sync + 'static {
     /// Sends a batch of independent requests to `to` and resolves with the
     /// positionally matched responses (`responses[i]` answers `reqs[i]`).
     ///
-    /// Transports that understand [`Request::Batch`] override this to flush
-    /// the whole batch as one write and demultiplex the single
-    /// [`Response::Batch`] reply; the default implementation issues the
-    /// calls individually but concurrently, so any `RpcClient` is batchable.
-    /// An empty batch resolves to an empty vector without touching the
-    /// network. On `Ok`, the response count always equals the request count.
+    /// Transports that understand [`Request::Batch`] override this with the
+    /// crate's shared `call_batched` wrapper (one message out, one
+    /// count-checked [`Response::Batch`] back); the default implementation
+    /// issues the calls individually but concurrently, so any `RpcClient` is
+    /// batchable. An empty batch resolves to an empty vector without
+    /// touching the network. On `Ok`, the response count always equals the
+    /// request count.
     fn call_batch(
         &self,
         to: ServerId,

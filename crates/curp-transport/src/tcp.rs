@@ -29,7 +29,7 @@ use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, oneshot};
 
 use crate::error::RpcError;
-use crate::rpc::{join_all, BoxFuture, RpcClient, SharedHandler};
+use crate::rpc::{call_batched, dispatch, BoxFuture, RpcClient, SharedHandler};
 
 /// Default per-RPC deadline for the TCP transport.
 pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_secs(5);
@@ -131,17 +131,8 @@ async fn serve_connection(stream: TcpStream, handler: SharedHandler) -> std::io:
             let handler = Arc::clone(&handler);
             let wr = Arc::clone(&wr);
             tokio::spawn(async move {
-                let rsp = match req {
-                    // A batch frame: handle every inner request concurrently
-                    // and flush ONE positionally-ordered reply envelope (one
-                    // write), however the handlers' completions interleave.
-                    Request::Batch { requests } => {
-                        let futs: Vec<_> =
-                            requests.into_iter().map(|r| handler.handle(from, r)).collect();
-                        Response::Batch { responses: join_all(futs).await }
-                    }
-                    req => handler.handle(from, req).await,
-                };
+                // A batch frame comes back as ONE reply envelope (one write).
+                let rsp = dispatch(&handler, from, req).await;
                 let reply = RpcEnvelope { corr_id, is_response: true, payload: rsp.to_bytes() };
                 let mut guard = wr.lock().await;
                 let (wr, buf) = &mut *guard;
@@ -319,19 +310,9 @@ impl RpcClient for TcpRouter {
         to: ServerId,
         reqs: Vec<Request>,
     ) -> BoxFuture<'static, Result<Vec<Response>, RpcError>> {
-        // One Batch frame, one envelope, one writer-task write; the reply is
-        // a single Response::Batch demultiplexed back into per-op responses.
+        // One Batch frame, one envelope, one writer-task write.
         let router = self.clone();
-        Box::pin(async move {
-            if reqs.is_empty() {
-                return Ok(Vec::new());
-            }
-            let n = reqs.len();
-            match router.do_call(to, Request::Batch { requests: reqs }).await? {
-                Response::Batch { responses } if responses.len() == n => Ok(responses),
-                _ => Err(RpcError::BatchMismatch { to }),
-            }
-        })
+        Box::pin(call_batched(to, reqs, move |batch| router.do_call(to, batch)))
     }
 }
 
