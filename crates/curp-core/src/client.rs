@@ -2,8 +2,8 @@
 //!
 //! The protocol is written once, in `CurpClient::attempt`: for a slice of
 //! operations routed to one partition it sends the updates to the master
-//! *and* their records to all `f` witnesses in parallel, then settles each
-//! operation:
+//! *and* their records to all `f` witnesses in parallel (the records are
+//! started first), then settles each operation:
 //!
 //! * the master answered `synced` — durable on backups, done (2 RTT, no
 //!   client sync, §3.2.3);
@@ -364,15 +364,20 @@ impl CurpClient {
             }
         }
         let witnesses = if record_reqs.is_empty() { &[] } else { part.witnesses.as_slice() };
-        let record_futs: Vec<_> =
+        // Record RPCs go out in parallel with the update (§3.2.1), and
+        // ahead of it: the joined sends start in order, so no update is
+        // written before its records. A record that reached its witness
+        // only after the master had synced and collected the op would be
+        // garbage nothing ever collects (§4.5).
+        let mut sends: Vec<_> =
             witnesses.iter().map(|&w| self.send(w, record_reqs.clone())).collect();
-        // Record RPCs go out in parallel with the update (§3.2.1).
-        let (master_rsps, witness_rsps) =
-            tokio::join!(self.send(part.master, master_reqs), join_all(record_futs));
-        let master_rsps = match master_rsps {
-            Ok(rsps) if rsps.len() == calls.len() => rsps,
+        sends.push(self.send(part.master, master_reqs));
+        let mut witness_rsps = join_all(sends).await;
+        // The master's replies, sent last, come off the end.
+        let master_rsps = match witness_rsps.pop() {
+            Some(Ok(rsps)) if rsps.len() == calls.len() => rsps,
             other => {
-                let why = format!("master rpc: {:?}", other.map(|rsps| rsps.len()));
+                let why = format!("master rpc: {:?}", other.map(|r| r.map(|rsps| rsps.len())));
                 return (0..calls.len()).for_each(|i| settle(i, Verdict::Lost(why.clone())));
             }
         };

@@ -14,7 +14,7 @@ use curp_core::server::{CurpServer, ServerHandler};
 use curp_proto::cluster::HashRange;
 use curp_proto::message::{Request, Response};
 use curp_proto::op::{Op, OpResult};
-use curp_proto::types::{MasterId, ServerId};
+use curp_proto::types::{MasterId, RpcId, ServerId};
 use curp_transport::{BoxFuture, MemNetwork, RpcClient, RpcError};
 use curp_witness::cache::CacheConfig;
 
@@ -833,6 +833,115 @@ async fn serial_and_window_one_pipelined_front_ends_are_equivalent() {
     assert!(fast > 0 && synced > 0 && explicit > 0, "paths not all taken: {:?}", serial.stats);
     assert_eq!(restarts, 0);
     assert_eq!(serial, pipelined);
+}
+
+/// One frame as the client handed it to its transport.
+#[derive(Debug)]
+struct Sent {
+    to: ServerId,
+    variant: &'static str,
+    records: Vec<RpcId>,
+    updates: Vec<RpcId>,
+}
+
+/// Logs every call on its future's first poll, which is when a transport
+/// enqueues the frame (`TcpRouter::do_call` hands it to the connection's
+/// writer task there).
+struct SendLog {
+    inner: Arc<dyn RpcClient>,
+    sent: Arc<std::sync::Mutex<Vec<Sent>>>,
+}
+
+impl Sent {
+    fn of(to: ServerId, variant: &'static str, reqs: &[Request]) -> Sent {
+        let (mut records, mut updates) = (Vec::new(), Vec::new());
+        for req in reqs {
+            match req {
+                Request::WitnessRecord { request } => records.push(request.rpc_id),
+                Request::ClientUpdate { rpc_id, .. } => updates.push(*rpc_id),
+                _ => {}
+            }
+        }
+        Sent { to, variant, records, updates }
+    }
+}
+
+impl SendLog {
+    fn logged<T: Send + 'static>(
+        &self,
+        entry: Sent,
+        fut: BoxFuture<'static, T>,
+    ) -> BoxFuture<'static, T> {
+        let sent = Arc::clone(&self.sent);
+        Box::pin(async move {
+            sent.lock().unwrap().push(entry);
+            fut.await
+        })
+    }
+}
+
+impl RpcClient for SendLog {
+    fn call(&self, to: ServerId, req: Request) -> BoxFuture<'static, Result<Response, RpcError>> {
+        let variant = match req {
+            Request::WitnessRecord { .. } => "WitnessRecord",
+            Request::ClientUpdate { .. } => "ClientUpdate",
+            _ => "other",
+        };
+        let entry = Sent::of(to, variant, std::slice::from_ref(&req));
+        self.logged(entry, self.inner.call(to, req))
+    }
+
+    fn call_batch(
+        &self,
+        to: ServerId,
+        reqs: Vec<Request>,
+    ) -> BoxFuture<'static, Result<Vec<Response>, RpcError>> {
+        let entry = Sent::of(to, "Batch", &reqs);
+        self.logged(entry, self.inner.call_batch(to, reqs))
+    }
+}
+
+#[tokio::test(start_paused = true)]
+async fn witness_records_are_sent_before_their_update() {
+    let cluster = TestCluster::new(3, lazy_cfg()).await;
+    let sent = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let rpc =
+        Arc::new(SendLog { inner: cluster.net.client(ServerId(700)), sent: Arc::clone(&sent) });
+    let client = Arc::new(CurpClient::connect(rpc, COORD, ClientConfig::default()).await.unwrap());
+    for i in 0..8 {
+        client.update(put(&format!("serial{i}"), "v")).await.unwrap();
+    }
+    let cfg = PipelineConfig { window: 16, ..PipelineConfig::default() };
+    let pipe = PipelinedClient::new(Arc::clone(&client), cfg);
+    let mut completions = Vec::new();
+    for i in 0..16 {
+        completions.push(pipe.submit(put(&format!("piped{i}"), "v")).await.unwrap());
+    }
+    for c in completions {
+        c.await.unwrap();
+    }
+
+    let sent = sent.lock().unwrap();
+    let batched = sent.iter().filter(|s| s.variant == "Batch" && s.updates.len() > 1).count();
+    assert!(batched > 0, "the pipelined updates never shared a frame: {sent:?}");
+    let mut updates = 0;
+    for (at, frame) in sent.iter().enumerate() {
+        for id in &frame.updates {
+            updates += 1;
+            let records = |frames: &[Sent]| {
+                frames.iter().flat_map(|s| &s.records).filter(|&r| r == id).count()
+            };
+            let (before, after) = (records(&sent[..at]), records(&sent[at..]));
+            assert_eq!(
+                (before, after),
+                (cluster.f, 0),
+                "records of {id:?} around its update to {:?} ({}): {sent:?}",
+                frame.to,
+                frame.variant
+            );
+        }
+    }
+    assert_eq!(updates, 24);
 }
 
 #[tokio::test(start_paused = true)]

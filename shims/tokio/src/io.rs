@@ -2,7 +2,7 @@
 
 #![allow(async_fn_in_trait)]
 
-use crate::net::{poll_read, poll_write, OwnedReadHalf, OwnedWriteHalf};
+use crate::net::{OwnedReadHalf, OwnedWriteHalf};
 use std::io;
 
 /// Async read methods (`read`, `read_exact`).
@@ -16,8 +16,7 @@ pub trait AsyncReadExt {
 
 impl AsyncReadExt for OwnedReadHalf {
     async fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let stream = std::sync::Arc::clone(&self.inner);
-        std::future::poll_fn(move |cx| poll_read(&stream, cx, buf)).await
+        std::future::poll_fn(|cx| self.io.poll_read(cx, buf)).await
     }
 
     async fn read_exact(&mut self, buf: &mut [u8]) -> io::Result<usize> {
@@ -48,10 +47,9 @@ pub trait AsyncWriteExt {
 
 impl AsyncWriteExt for OwnedWriteHalf {
     async fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        let stream = std::sync::Arc::clone(&self.inner);
         let mut written = 0;
         while written < buf.len() {
-            let n = std::future::poll_fn(|cx| poll_write(&stream, cx, &buf[written..])).await?;
+            let n = std::future::poll_fn(|cx| self.io.poll_write(cx, &buf[written..])).await?;
             if n == 0 {
                 return Err(io::Error::new(io::ErrorKind::WriteZero, "write returned 0"));
             }
@@ -65,6 +63,6 @@ impl AsyncWriteExt for OwnedWriteHalf {
     }
 
     async fn shutdown(&mut self) -> io::Result<()> {
-        self.inner.shutdown(std::net::Shutdown::Write)
+        self.io.shutdown_write()
     }
 }

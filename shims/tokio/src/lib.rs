@@ -11,7 +11,9 @@
 //! * every flavor runs on the calling thread (`multi_thread` is accepted
 //!   and ignored) — tasks interleave cooperatively, never in parallel;
 //! * `select!` polls branches in declaration order (left-biased);
-//! * TCP readiness is tick-polled (~500 µs), not epoll-driven.
+//! * TCP readiness is epoll-driven and therefore Linux-only: one
+//!   process-wide poller thread serves every runtime, with one waker per
+//!   direction per socket (see [`net`]).
 
 pub mod io;
 pub mod net;
