@@ -63,14 +63,6 @@ fn bench_witness(c: &mut Criterion) {
             cache.record(request(seq, 42)) // same key: rejected
         });
     });
-    c.bench_function("witness_commute_probe", |b| {
-        let mut cache = WitnessCache::new(CacheConfig::default());
-        for i in 0..1000 {
-            cache.record(request(i + 1, i));
-        }
-        let probe = [KeyHash::of(b"some-other-key")];
-        b.iter(|| cache.commutes_with_read(&probe));
-    });
     c.bench_function("witness_record_reject_alloc_free", |b| {
         // Pins the validate-before-allocate reject path: a conflicting
         // record must be turned away without touching the heap. The

@@ -879,8 +879,8 @@ impl BackupService {
         Ok(ids.into_iter().collect())
     }
 
-    /// Executes a read-only op against the replica (possibly stale — callers
-    /// must have passed the §A.1 witness probe first).
+    /// Executes a read-only op against the replica (test/diagnostic accessor;
+    /// the replica may trail the master, so clients never read here).
     pub fn read(&self, master: MasterId, op: &Op) -> Option<OpResult> {
         if !op.is_read_only() {
             return None;
@@ -963,10 +963,6 @@ impl BackupService {
                     Err(e) => Response::Retry { reason: format!("bad snapshot: {e}") },
                 }
             }
-            Request::BackupRead { master_id, op } => match self.read(*master_id, op) {
-                Some(result) => Response::BackupValue { result },
-                None => Response::Retry { reason: "no replica or not a read".into() },
-            },
             Request::BackupSetEpoch { master_id, epoch } => {
                 self.set_epoch(*master_id, *epoch);
                 Response::EpochSet
@@ -1128,10 +1124,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(
-            bs.handle_request(&Request::BackupRead { master_id: M, op: Op::Get { key: b("a") } }),
-            Response::BackupValue { result: OpResult::Value(Some(b("1"))) }
-        );
+        assert_eq!(bs.read(M, &Op::Get { key: b("a") }), Some(OpResult::Value(Some(b("1")))));
         assert_eq!(
             bs.handle_request(&Request::BackupSetEpoch { master_id: M, epoch: Epoch(9) }),
             Response::EpochSet

@@ -435,34 +435,6 @@ impl CurpClient {
         self.state.lock().rifl.complete(call.rpc_id);
         Verdict::Done(result)
     }
-
-    /// Consistent read from a backup (§A.1, 0 wide-area RTTs in
-    /// geo-replication): probe a witness for commutativity; if the key has
-    /// no pending update, read the backup; otherwise fall back to the master.
-    ///
-    /// `replica` selects which of the partition's backups/witnesses to use
-    /// (e.g. the one in the local region).
-    pub async fn read_nearby(&self, op: Op, replica: usize) -> Result<OpResult, ClientError> {
-        assert!(op.is_read_only(), "use update() for mutations");
-        let footprint = op.key_hashes();
-        let part = self.route(&footprint)?;
-        if !part.witnesses.is_empty() && !part.backups.is_empty() {
-            let witness = part.witnesses[replica % part.witnesses.len()];
-            let backup = part.backups[replica % part.backups.len()];
-            let master_id = part.master_id;
-            let probe = Request::WitnessCommuteCheck { master_id, key_hashes: footprint };
-            // Anything else is a pending update on this key (or a frozen
-            // witness): the backup may be stale (§A.1).
-            let probed = self.rpc.call(witness, probe).await;
-            if let Ok(Response::CommuteOk { commutative: true }) = probed {
-                let read = Request::BackupRead { master_id, op: op.clone() };
-                if let Ok(Response::BackupValue { result }) = self.rpc.call(backup, read).await {
-                    return Ok(result);
-                }
-            }
-        }
-        self.read(op).await
-    }
 }
 
 // ---- pipelined mode ---------------------------------------------------------

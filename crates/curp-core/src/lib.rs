@@ -8,13 +8,12 @@
 //!   syncs (§4.4) and garbage-collects witnesses (§4.5). Also performs crash
 //!   recovery as the *new* master (§4.6) and migration (§3.6).
 //! * [`backup::BackupService`] — applies ordered log entries, fences zombie
-//!   epochs (§4.7), serves restore snapshots and §A.1 stale reads; built
+//!   epochs (§4.7), serves restore snapshots; built
 //!   durable it write-ahead-logs every sync round to per-master AOFs and
 //!   restores from them on cold restart (§5.4).
 //! * [`client::CurpClient`] — the 1-RTT fast path: update RPC to the master
 //!   in parallel with record RPCs to all `f` witnesses; falls back to the
-//!   2/3-RTT sync path on rejection (§3.2.1). Also consistent reads from
-//!   backups via witness probes (§A.1).
+//!   2/3-RTT sync path on rejection (§3.2.1).
 //! * [`coordinator::Coordinator`] — cluster configuration, witness-list
 //!   versions (§3.6), RIFL leases, and recovery/migration orchestration —
 //!   including whole-cluster power-loss restart

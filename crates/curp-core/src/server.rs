@@ -178,11 +178,9 @@ impl CurpServer {
             }
             Request::BackupSync { .. }
             | Request::BackupFetch { .. }
-            | Request::BackupRead { .. }
             | Request::BackupInstall { .. }
             | Request::BackupSetEpoch { .. } => self.backup.handle_request(&req),
             Request::WitnessRecord { .. }
-            | Request::WitnessCommuteCheck { .. }
             | Request::WitnessGc { .. }
             | Request::WitnessGetRecoveryData { .. }
             | Request::WitnessStart { .. }

@@ -357,27 +357,6 @@ async fn migration_splits_ownership() {
 }
 
 #[tokio::test(start_paused = true)]
-async fn consistent_backup_reads() {
-    let cluster = TestCluster::new(3, lazy_cfg()).await;
-    let client = cluster.client().await;
-    client.update(put("k", "v1")).await.unwrap();
-
-    // The update is not yet on backups; the witness probe detects the
-    // pending write and redirects to the master (§A.1) — which must sync
-    // before serving the read, so the value read is durable.
-    let r = client.read_nearby(get("k"), 0).await.unwrap();
-    assert_eq!(r, OpResult::Value(Some(b("v1"))));
-    assert_eq!(cluster.server(2).backup().next_seq(cluster.master_id), Some(1));
-
-    // After sync + witness gc the probe passes and the backup serves the
-    // read directly.
-    tokio::time::sleep(Duration::from_millis(50)).await; // gc delivery
-    assert_eq!(cluster.server(2).witness().occupancy(cluster.master_id), 0);
-    let r = client.read_nearby(get("k"), 0).await.unwrap();
-    assert_eq!(r, OpResult::Value(Some(b("v1"))));
-}
-
-#[tokio::test(start_paused = true)]
 async fn lease_expiry_drops_completion_records_after_sync() {
     let cluster = TestCluster::with_lease_ttl(3, lazy_cfg(), 1_000).await;
     let client = cluster.client().await;

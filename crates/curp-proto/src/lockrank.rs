@@ -21,17 +21,17 @@
 //! | `0x0600..0x07ff`| witness service map, per-instance mode             |
 //! | `0x0800`        | consensus replica state (held across its store)    |
 //! | `0x1000..0x1fff`| store shards, rank = `STORE_SHARD + index`         |
-//! | `0x2000..0x2fff`| witness cache shards, rank = `WITNESS_SHARD + i`   |
+//! | `0x2000`        | per-instance witness cache                         |
 //! | `0x3000..0x30ff`| master leaves: RIFL, ctrl, pending-GC              |
 //! | `0x3100..0x31ff`| consensus client leaves                            |
 //! | `0x3200`        | witness journal file                               |
 //! | `0x3300..0x33ff`| transport leaves (in-memory fabric, TCP)           |
 //! | `0x4000`        | tier run list — **strict leaf**                    |
 //!
-//! The shard bands hold up to 4096 shards; `ShardedStore` asserts this
-//! bound at construction. Two locks of the same band are distinguished by
-//! shard index, so ascending shard order (invariant 6's original form) is
-//! exactly ascending rank order.
+//! The store shard band holds up to 4096 shards; `ShardedStore` asserts
+//! this bound at construction. Two store shards are distinguished by shard
+//! index, so ascending shard order (invariant 6's original form) is exactly
+//! ascending rank order.
 
 /// Chaos-fleet run history (outermost: held while nothing else is).
 pub const FLEET_HISTORY: u32 = 0x0100;
@@ -60,7 +60,7 @@ pub const BACKUP_REPLICAS: u32 = 0x0500;
 
 /// Witness service instance map.
 pub const WITNESS_INSTANCES: u32 = 0x0600;
-/// Per-witness-instance mode (accepting/frozen); held across cache shards.
+/// Per-witness-instance mode (accepting/frozen); held across the cache.
 pub const WITNESS_MODE: u32 = 0x0700;
 
 /// Consensus replica state. Ranked below the store band because the
@@ -70,10 +70,10 @@ pub const CONSENSUS_REPLICA: u32 = 0x0800;
 
 /// Base rank of the store shard band: shard `i` is `STORE_SHARD + i`.
 pub const STORE_SHARD: u32 = 0x1000;
-/// Base rank of the witness cache shard band.
-pub const WITNESS_SHARD: u32 = 0x2000;
-/// Maximum shards per band (both bands are 0x1000 wide).
+/// Maximum store shards (the band is 0x1000 wide).
 pub const MAX_SHARDS: usize = 0x1000;
+/// One witness instance's cache (§4.2): taken under that instance's mode.
+pub const WITNESS_CACHE: u32 = 0x2000;
 
 /// Master RIFL (exactly-once result) table.
 pub const MASTER_RIFL: u32 = 0x3000;

@@ -158,14 +158,6 @@ pub enum Request {
         /// The request, including the master id and key hashes.
         request: RecordedRequest,
     },
-    /// Commutativity probe for consistent reads from backups (§A.1): does a
-    /// read of these key hashes commute with everything the witness holds?
-    WitnessCommuteCheck {
-        /// The master whose witness instance is addressed.
-        master_id: MasterId,
-        /// Key hashes the reader wants to read (cached footprint).
-        key_hashes: Footprint,
-    },
 
     // ---- master -> witness (Figure 4) ---------------------------------------
     /// `gc(list of {keyHash, rpcId})`.
@@ -208,13 +200,6 @@ pub enum Request {
     BackupFetch {
         /// Partition to restore.
         master_id: MasterId,
-    },
-    /// Direct read of a backup's (possibly stale) state for §A.1 reads.
-    BackupRead {
-        /// Partition to read from.
-        master_id: MasterId,
-        /// The read-only operation.
-        op: Op,
     },
     /// Replaces a backup's replica state wholesale with a snapshot. Sent by a
     /// recovery master after witness replay (§4.6, "finalizes the recovery by
@@ -331,12 +316,6 @@ pub enum Response {
     /// Witness rejected the record: not commutative with a stored request,
     /// no slot available, wrong master, or recovery mode.
     RecordRejected,
-    /// Answer to a commutativity probe (§A.1): `true` iff a read of the
-    /// probed keys commutes with everything stored.
-    CommuteOk {
-        /// Whether the read is safe from a backup.
-        commutative: bool,
-    },
     /// Witness processed a gc RPC; returns requests it suspects are
     /// uncollected garbage so the master can retry them (§4.5).
     GcDone {
@@ -373,11 +352,6 @@ pub enum Response {
     },
     /// Acknowledges a [`Request::BackupInstall`].
     BackupInstalled,
-    /// Result of a [`Request::BackupRead`].
-    BackupValue {
-        /// Execution result against the backup's replica state.
-        result: OpResult,
-    },
     /// Epoch fencing installed.
     EpochSet,
 
@@ -430,19 +404,19 @@ macro_rules! tags {
     };
 }
 
+// Retired, never to be reused: request tags 4 and 11 and response tags 7
+// and 14 carried the §A.1 backup-read probe. They now decode as unknown.
 tags! {
     REQ_CLIENT_UPDATE = 0,
     REQ_CLIENT_READ = 1,
     REQ_SYNC = 2,
     REQ_W_RECORD = 3,
-    REQ_W_COMMUTE = 4,
     REQ_W_GC = 5,
     REQ_W_RECOVERY = 6,
     REQ_W_START = 7,
     REQ_W_END = 8,
     REQ_B_SYNC = 9,
     REQ_B_FETCH = 10,
-    REQ_B_READ = 11,
     REQ_B_EPOCH = 12,
     REQ_B_INSTALL = 21,
     REQ_M_WLIST = 13,
@@ -477,11 +451,6 @@ impl Encode for Request {
                 buf.put_u8(REQ_W_RECORD);
                 request.encode(buf);
             }
-            Request::WitnessCommuteCheck { master_id, key_hashes } => {
-                buf.put_u8(REQ_W_COMMUTE);
-                master_id.encode(buf);
-                key_hashes.encode(buf);
-            }
             Request::WitnessGc { master_id, entries } => {
                 buf.put_u8(REQ_W_GC);
                 master_id.encode(buf);
@@ -508,11 +477,6 @@ impl Encode for Request {
             Request::BackupFetch { master_id } => {
                 buf.put_u8(REQ_B_FETCH);
                 master_id.encode(buf);
-            }
-            Request::BackupRead { master_id, op } => {
-                buf.put_u8(REQ_B_READ);
-                master_id.encode(buf);
-                op.encode(buf);
             }
             Request::BackupSetEpoch { master_id, epoch } => {
                 buf.put_u8(REQ_B_EPOCH);
@@ -569,9 +533,6 @@ impl Encode for Request {
             Request::Sync { master_id } => master_id.encoded_len(),
             Request::WitnessEnd { master_id } => master_id.encoded_len(),
             Request::WitnessRecord { request } => request.encoded_len(),
-            Request::WitnessCommuteCheck { master_id, key_hashes } => {
-                master_id.encoded_len() + key_hashes.encoded_len()
-            }
             Request::WitnessGc { master_id, entries } => {
                 master_id.encoded_len() + seq_encoded_len(entries)
             }
@@ -581,7 +542,6 @@ impl Encode for Request {
                 master_id.encoded_len() + epoch.encoded_len() + seq_encoded_len(entries)
             }
             Request::BackupFetch { master_id } => master_id.encoded_len(),
-            Request::BackupRead { master_id, op } => master_id.encoded_len() + op.encoded_len(),
             Request::BackupSetEpoch { master_id, epoch } => {
                 master_id.encoded_len() + epoch.encoded_len()
             }
@@ -617,10 +577,6 @@ impl Decode for Request {
             REQ_CLIENT_READ => Request::ClientRead { op: Op::decode(buf)? },
             REQ_SYNC => Request::Sync { master_id: MasterId::decode(buf)? },
             REQ_W_RECORD => Request::WitnessRecord { request: RecordedRequest::decode(buf)? },
-            REQ_W_COMMUTE => Request::WitnessCommuteCheck {
-                master_id: MasterId::decode(buf)?,
-                key_hashes: Footprint::decode(buf)?,
-            },
             REQ_W_GC => {
                 Request::WitnessGc { master_id: MasterId::decode(buf)?, entries: decode_seq(buf)? }
             }
@@ -633,9 +589,6 @@ impl Decode for Request {
                 entries: decode_seq(buf)?,
             },
             REQ_B_FETCH => Request::BackupFetch { master_id: MasterId::decode(buf)? },
-            REQ_B_READ => {
-                Request::BackupRead { master_id: MasterId::decode(buf)?, op: Op::decode(buf)? }
-            }
             REQ_B_EPOCH => Request::BackupSetEpoch {
                 master_id: MasterId::decode(buf)?,
                 epoch: Epoch::decode(buf)?,
@@ -678,14 +631,12 @@ tags! {
     RSP_NOT_OWNER = 4,
     RSP_REC_ACCEPTED = 5,
     RSP_REC_REJECTED = 6,
-    RSP_COMMUTE = 7,
     RSP_GC_DONE = 8,
     RSP_RECOVERY = 9,
     RSP_W_STARTED = 10,
     RSP_W_ENDED = 11,
     RSP_B_SYNCED = 12,
     RSP_B_DATA = 13,
-    RSP_B_VALUE = 14,
     RSP_EPOCH_SET = 15,
     RSP_WLIST_INSTALLED = 16,
     RSP_EXPIRED_ACK = 17,
@@ -718,10 +669,6 @@ impl Encode for Response {
             Response::NotOwner => buf.put_u8(RSP_NOT_OWNER),
             Response::RecordAccepted => buf.put_u8(RSP_REC_ACCEPTED),
             Response::RecordRejected => buf.put_u8(RSP_REC_REJECTED),
-            Response::CommuteOk { commutative } => {
-                buf.put_u8(RSP_COMMUTE);
-                commutative.encode(buf);
-            }
             Response::GcDone { stale } => {
                 buf.put_u8(RSP_GC_DONE);
                 encode_seq(stale, buf);
@@ -746,10 +693,6 @@ impl Encode for Response {
                 snapshot.encode(buf);
             }
             Response::BackupInstalled => buf.put_u8(RSP_B_INSTALLED),
-            Response::BackupValue { result } => {
-                buf.put_u8(RSP_B_VALUE);
-                result.encode(buf);
-            }
             Response::EpochSet => buf.put_u8(RSP_EPOCH_SET),
             Response::WitnessListInstalled => buf.put_u8(RSP_WLIST_INSTALLED),
             Response::LoadStats { stats } => {
@@ -794,7 +737,6 @@ impl Encode for Response {
             | Response::WitnessListInstalled
             | Response::ClientExpiredAck => 0,
             Response::StaleWitnessList { current } => current.encoded_len(),
-            Response::CommuteOk { commutative } => commutative.encoded_len(),
             Response::GcDone { stale } => seq_encoded_len(stale),
             Response::RecoveryData { requests } => seq_encoded_len(requests),
             Response::WitnessStarted { ok } => ok.encoded_len(),
@@ -805,7 +747,6 @@ impl Encode for Response {
                 next_seq.encoded_len() + snapshot.encoded_len()
             }
             Response::BackupInstalled => 0,
-            Response::BackupValue { result } => result.encoded_len(),
             Response::LoadStats { stats } => stats.encoded_len(),
             Response::Config { config } => config.encoded_len(),
             Response::Lease { client, ttl_ms } => client.encoded_len() + ttl_ms.encoded_len(),
@@ -832,7 +773,6 @@ impl Decode for Response {
             RSP_NOT_OWNER => Response::NotOwner,
             RSP_REC_ACCEPTED => Response::RecordAccepted,
             RSP_REC_REJECTED => Response::RecordRejected,
-            RSP_COMMUTE => Response::CommuteOk { commutative: bool::decode(buf)? },
             RSP_GC_DONE => Response::GcDone { stale: decode_seq(buf)? },
             RSP_RECOVERY => Response::RecoveryData { requests: decode_seq(buf)? },
             RSP_W_STARTED => Response::WitnessStarted { ok: bool::decode(buf)? },
@@ -844,7 +784,6 @@ impl Decode for Response {
                 Response::BackupData { next_seq: u64::decode(buf)?, snapshot: Bytes::decode(buf)? }
             }
             RSP_B_INSTALLED => Response::BackupInstalled,
-            RSP_B_VALUE => Response::BackupValue { result: OpResult::decode(buf)? },
             RSP_EPOCH_SET => Response::EpochSet,
             RSP_WLIST_INSTALLED => Response::WitnessListInstalled,
             RSP_LOAD_STATS => Response::LoadStats { stats: LoadStats::decode(buf)? },
@@ -935,10 +874,6 @@ mod tests {
             Request::ClientRead { op: Op::Get { key: b("k") } },
             Request::Sync { master_id: MasterId(1) },
             Request::WitnessRecord { request: recorded() },
-            Request::WitnessCommuteCheck {
-                master_id: MasterId(3),
-                key_hashes: vec![KeyHash(9)].into(),
-            },
             Request::WitnessGc { master_id: MasterId(3), entries: vec![(KeyHash(1), rid(2, 3))] },
             Request::WitnessGetRecoveryData { master_id: MasterId(3) },
             Request::WitnessStart { master_id: MasterId(3) },
@@ -954,7 +889,6 @@ mod tests {
                 }],
             },
             Request::BackupFetch { master_id: MasterId(3) },
-            Request::BackupRead { master_id: MasterId(3), op: Op::Get { key: b("k") } },
             Request::BackupSetEpoch { master_id: MasterId(3), epoch: Epoch(5) },
             Request::BackupInstall {
                 master_id: MasterId(4),
@@ -997,7 +931,6 @@ mod tests {
             Response::NotOwner,
             Response::RecordAccepted,
             Response::RecordRejected,
-            Response::CommuteOk { commutative: false },
             Response::GcDone { stale: vec![recorded()] },
             Response::RecoveryData { requests: vec![recorded(), recorded()] },
             Response::WitnessStarted { ok: true },
@@ -1005,7 +938,6 @@ mod tests {
             Response::BackupSynced { accepted: false, next_seq: 12 },
             Response::BackupData { next_seq: 12, snapshot: b("blob") },
             Response::BackupInstalled,
-            Response::BackupValue { result: OpResult::Value(None) },
             Response::EpochSet,
             Response::WitnessListInstalled,
             Response::LoadStats {
@@ -1072,6 +1004,32 @@ mod tests {
     fn unknown_tags_rejected() {
         assert!(Request::from_bytes(&[200]).is_err());
         assert!(Response::from_bytes(&[200]).is_err());
+    }
+
+    #[test]
+    fn retired_tags_rejected() {
+        // A well-formed old payload behind a retired tag must not decode.
+        let payload = Request::Sync { master_id: MasterId(3) }.to_bytes();
+        for tag in [4u8, 11] {
+            let mut frame = payload.to_vec();
+            frame[0] = tag;
+            assert!(
+                matches!(
+                    Request::from_bytes(&frame),
+                    Err(DecodeError::InvalidTag { ty: "Request", tag: t }) if t == tag
+                ),
+                "request tag {tag} is retired"
+            );
+        }
+        for tag in [7u8, 14] {
+            assert!(
+                matches!(
+                    Response::from_bytes(&[tag, 1]),
+                    Err(DecodeError::InvalidTag { ty: "Response", tag: t }) if t == tag
+                ),
+                "response tag {tag} is retired"
+            );
+        }
     }
 
     #[test]

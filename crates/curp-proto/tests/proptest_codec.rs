@@ -79,12 +79,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         arb_op().prop_map(|op| Request::ClientRead { op }),
         Just(Request::Sync { master_id: MasterId(1) }),
         arb_recorded().prop_map(|request| Request::WitnessRecord { request }),
-        (any::<u64>(), prop::collection::vec(any::<u64>(), 0..6)).prop_map(|(m, hs)| {
-            Request::WitnessCommuteCheck {
-                master_id: MasterId(m),
-                key_hashes: hs.into_iter().map(KeyHash).collect(),
-            }
-        }),
         (any::<u64>(), prop::collection::vec((any::<u64>(), arb_rpc_id()), 0..6)).prop_map(
             |(m, es)| Request::WitnessGc {
                 master_id: MasterId(m),
@@ -110,8 +104,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
                 snapshot: sn,
             }
         }),
-        (any::<u64>(), arb_op())
-            .prop_map(|(m, op)| Request::BackupRead { master_id: MasterId(m), op }),
         Just(Request::GetConfig),
         Just(Request::AcquireLease),
         any::<u64>().prop_map(|c| Request::RenewLease { client: ClientId(c) }),
@@ -150,7 +142,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
         Just(Response::NotOwner),
         Just(Response::RecordAccepted),
         Just(Response::RecordRejected),
-        any::<bool>().prop_map(|commutative| Response::CommuteOk { commutative }),
         prop::collection::vec(arb_recorded(), 0..4).prop_map(|stale| Response::GcDone { stale }),
         prop::collection::vec(arb_recorded(), 0..4)
             .prop_map(|requests| Response::RecoveryData { requests }),

@@ -134,11 +134,7 @@ impl WitnessCache {
     ///
     /// A conflict with a record that has lingered through several gc rounds
     /// reports it as suspected uncollected garbage (§4.5).
-    pub(crate) fn find_free_slot(
-        &mut self,
-        kh: KeyHash,
-        taken: &[usize],
-    ) -> Result<usize, RecordOutcome> {
+    fn find_free_slot(&mut self, kh: KeyHash, taken: &[usize]) -> Result<usize, RecordOutcome> {
         let mut free = None;
         for idx in self.set_range(kh) {
             match &self.slots[idx] {
@@ -165,7 +161,7 @@ impl WitnessCache {
         }
     }
 
-    pub(crate) fn commit_slot(&mut self, idx: usize, kh: KeyHash, request: &Arc<RecordedRequest>) {
+    fn commit_slot(&mut self, idx: usize, kh: KeyHash, request: &Arc<RecordedRequest>) {
         self.slots[idx] = Some(Slot {
             key_hash: kh,
             rpc_id: request.rpc_id,
@@ -210,18 +206,6 @@ impl WitnessCache {
             }
             RecordOutcome::Accepted
         }
-    }
-
-    /// Returns `true` if a read of `key_hashes` commutes with every stored
-    /// request (§A.1 backup-read probe): no stored request touches any of
-    /// the probed keys.
-    pub fn commutes_with_read(&self, key_hashes: &[KeyHash]) -> bool {
-        key_hashes.iter().all(|&kh| {
-            self.set_range(kh).all(|idx| match &self.slots[idx] {
-                Some(slot) => slot.key_hash != kh,
-                None => true,
-            })
-        })
     }
 
     /// Frees the slots named by `(key_hash, rpc_id)` pairs; unknown pairs are
@@ -411,17 +395,6 @@ mod tests {
             assert_eq!(c.record(req(&format!("key-{i}"), 1, i + 1)), RecordOutcome::Accepted);
         }
         assert_eq!(c.record(req("key-4", 1, 9)), RecordOutcome::SetFull);
-    }
-
-    #[test]
-    fn commute_probe_detects_pending_write() {
-        let mut c = cache();
-        let r = req("x", 1, 1);
-        let kh = r.key_hashes[0];
-        c.record(r);
-        assert!(!c.commutes_with_read(&[kh]));
-        let other = Op::Get { key: Bytes::from_static(b"unrelated") }.key_hashes();
-        assert!(c.commutes_with_read(&other));
     }
 
     #[test]

@@ -9,22 +9,18 @@
 //!
 //! * [`cache`] — the set-associative request cache (§4.2, §B.1): slot lookup
 //!   by key hash, per-key conflict detection, uncollected-garbage tracking.
-//! * [`sharded`] — the same cache split by key hash with per-shard locks,
-//!   so commuting records (the only ones a witness accepts) land without
-//!   contending on one lock.
 //! * [`service`] — the witness life cycle (§4.1): `start` → normal mode
 //!   (record/gc) → `getRecoveryData` irreversibly enters recovery mode →
-//!   `end`. One server can host instances for several masters; each lives
-//!   behind its own lock, so traffic for one master never blocks another's.
+//!   `end`. One server can host instances for several masters; each
+//!   instance's cache lives behind its own lock, so traffic for one master
+//!   never blocks another's.
 //! * [`persist`] — an optional write-ahead journal standing in for the
 //!   paper's flash-backed DRAM: witness state survives process restarts.
 
 pub mod cache;
 pub mod persist;
 pub mod service;
-pub mod sharded;
 
 pub use cache::{CacheConfig, RecordOutcome, WitnessCache};
 pub use persist::JournaledWitness;
 pub use service::WitnessService;
-pub use sharded::ShardedWitnessCache;

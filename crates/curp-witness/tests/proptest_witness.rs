@@ -126,33 +126,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    /// The §A.1 read probe is exact: a probe on key hashes H reports
-    /// commutative iff no stored request touches any hash in H.
-    #[test]
-    fn commute_probe_is_exact(
-        stored_keys in prop::collection::vec(any::<u8>(), 0..30),
-        probe_keys in prop::collection::vec(any::<u8>(), 1..6),
-    ) {
-        let mut cache = WitnessCache::new(CacheConfig {
-            total_slots: 4096,
-            associativity: 4,
-            gc_suspicion_rounds: 3,
-        });
-        let mut accepted_hashes = std::collections::HashSet::new();
-        for (i, k) in stored_keys.iter().enumerate() {
-            let req = make_request(&[*k], 1, i as u64 + 1);
-            let hashes = req.key_hashes.clone();
-            if cache.record(req) == RecordOutcome::Accepted {
-                accepted_hashes.extend(hashes);
-            }
-        }
-        let probe: Vec<curp_proto::types::KeyHash> = probe_keys
-            .iter()
-            .flat_map(|k| make_request(&[*k], 9, 1).key_hashes)
-            .collect();
-        let expect = probe.iter().all(|h| !accepted_hashes.contains(h));
-        prop_assert_eq!(cache.commutes_with_read(&probe), expect);
-    }
-}

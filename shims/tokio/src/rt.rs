@@ -238,6 +238,10 @@ impl Wake for MainWaker {
     fn wake(self: Arc<Self>) {
         self.flag.store(true, Ordering::Release);
         if let Some(core) = self.core.upgrade() {
+            // Notify under the state lock, as `enqueue` pushes under it: a
+            // wake can then not fall between `block_on`'s locked re-check
+            // and its `wait_timeout`, where the notification would be lost.
+            let _state = core.state.lock().unwrap();
             core.notify();
         }
     }

@@ -168,7 +168,7 @@ fn production_rank_bands_ascend_along_the_documented_order() {
         lockrank::WITNESS_MODE,
         lockrank::CONSENSUS_REPLICA,
         lockrank::STORE_SHARD,
-        lockrank::WITNESS_SHARD,
+        lockrank::WITNESS_CACHE,
         lockrank::MASTER_RIFL,
         lockrank::CONSENSUS_CLIENT_RIFL,
         lockrank::WITNESS_JOURNAL,
@@ -176,7 +176,6 @@ fn production_rank_bands_ascend_along_the_documented_order() {
         lockrank::TIER_RUNS,
     ];
     assert!(order.windows(2).all(|w| w[0] < w[1]), "rank table must ascend: {order:#x?}");
-    // Shard bands must not collide with the bands above them.
-    assert!(lockrank::STORE_SHARD + (lockrank::MAX_SHARDS as u32 - 1) < lockrank::WITNESS_SHARD);
-    assert!(lockrank::WITNESS_SHARD + (lockrank::MAX_SHARDS as u32 - 1) < lockrank::MASTER_RIFL);
+    // The store shard band must not collide with the rank above it.
+    assert!(lockrank::STORE_SHARD + (lockrank::MAX_SHARDS as u32 - 1) < lockrank::WITNESS_CACHE);
 }
