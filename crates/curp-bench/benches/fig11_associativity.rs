@@ -40,6 +40,7 @@ fn records_until_collision(total_slots: usize, associativity: usize, rng: &mut S
             // Both count as the first collision: a random fresh key that the
             // cache could not take.
             RecordOutcome::SetFull | RecordOutcome::ConflictingKey => return n,
+            RecordOutcome::Collected => unreachable!("this cache never runs a gc"),
         }
     }
 }

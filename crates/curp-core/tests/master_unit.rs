@@ -244,6 +244,19 @@ async fn sync_gc_drains_witness() {
 }
 
 #[tokio::test]
+async fn late_record_after_gc_is_not_stranded() {
+    // The update overtakes its record: the master executes, syncs and gcs
+    // the op before the record reaches the witness (§4.5 liveness).
+    let r = rig(lazy());
+    let op = Op::Put { key: b("k"), value: b("v") };
+    let late = RecordedRequest { master_id: M, rpc_id: rid(1, 1), key_hashes: op.key_hashes(), op };
+    put(&r, rid(1, 1), "k", "v").await;
+    assert!(r.master.sync().await);
+    assert!(r.witness.record(late), "a record for a durable op is safe to accept");
+    assert_eq!(r.witness.occupancy(M), 0, "the late record stranded a slot");
+}
+
+#[tokio::test]
 async fn suspected_garbage_is_retried_and_collected() {
     let r = rig(lazy());
     // A client recorded a request but crashed before reaching the master.

@@ -11,8 +11,17 @@
 //! sees a false conflict after ~80 insertions; 4-way associativity pushes
 //! that far out. Figure 11 regenerates that simulation using this exact
 //! implementation.
+//!
+//! A record can reach its witness *after* the master has synced and
+//! garbage-collected its operation: "records leave first" orders sends, not
+//! arrivals (DESIGN.md, "Client fast path"). Stored, such a record would
+//! hold its slot for good, since nothing gcs it again. So the cache
+//! remembers, in a FIFO set bounded by `total_slots`, the rpc ids that a gc
+//! named but did not find, and a record carrying one of them is
+//! acknowledged as [`RecordOutcome::Collected`] without taking a slot: its
+//! operation is already durable on every backup (invariant 4).
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use curp_proto::footprint::InlineVec;
@@ -48,6 +57,9 @@ pub enum RecordOutcome {
     ConflictingKey,
     /// A needed set had no free slot (false conflict, §B.1).
     SetFull,
+    /// A gc already named this rpc id: the operation is synced, so the
+    /// record is acknowledged and nothing is stored.
+    Collected,
 }
 
 #[derive(Debug, Clone)]
@@ -77,6 +89,10 @@ pub struct WitnessCache {
     /// conflicting key can re-suspect the same stuck record on every
     /// rejection between two gc rounds).
     suspect_ids: HashSet<RpcId>,
+    /// Rpc ids a gc named but found no slot for, oldest first, at most
+    /// `total_slots` of them; `collected_ids` mirrors it for lookup.
+    collected: VecDeque<RpcId>,
+    collected_ids: HashSet<RpcId>,
     occupied: usize,
 }
 
@@ -100,6 +116,8 @@ impl WitnessCache {
             gc_round: 0,
             suspects: Vec::new(),
             suspect_ids: HashSet::new(),
+            collected: VecDeque::new(),
+            collected_ids: HashSet::new(),
             occupied: 0,
         }
     }
@@ -180,6 +198,9 @@ impl WitnessCache {
     /// Single-key requests (everything but `MultiPut`) also skip the
     /// claimed-slot bookkeeping entirely.
     pub fn record(&mut self, request: RecordedRequest) -> RecordOutcome {
+        if self.collected_ids.contains(&request.rpc_id) {
+            return RecordOutcome::Collected;
+        }
         if let [kh] = *request.key_hashes.as_slice() {
             // Single-key fast path: one set probe, then commit.
             match self.find_free_slot(kh, &[]) {
@@ -208,12 +229,15 @@ impl WitnessCache {
         }
     }
 
-    /// Frees the slots named by `(key_hash, rpc_id)` pairs; unknown pairs are
-    /// ignored ("the record RPCs might have been rejected", §4.5). Counts as
-    /// one gc round and returns any suspected uncollected garbage.
+    /// Frees the slots named by `(key_hash, rpc_id)` pairs. A pair with no
+    /// slot ("the record RPCs might have been rejected", §4.5, or not have
+    /// arrived yet) frees nothing, and its rpc id is remembered so that a
+    /// late record for it is [`RecordOutcome::Collected`]. Counts as one gc
+    /// round and returns any suspected uncollected garbage.
     pub fn gc(&mut self, entries: &[(KeyHash, RpcId)]) -> Vec<RecordedRequest> {
         self.gc_round += 1;
         for &(kh, rpc_id) in entries {
+            let mut found = false;
             for idx in self.set_range(kh) {
                 let matches = matches!(
                     &self.slots[idx],
@@ -222,7 +246,11 @@ impl WitnessCache {
                 if matches {
                     self.slots[idx] = None;
                     self.occupied -= 1;
+                    found = true;
                 }
+            }
+            if !found {
+                self.remember_collected(rpc_id);
             }
         }
         // Drop suspects that the gc we just applied actually collected. The
@@ -239,6 +267,18 @@ impl WitnessCache {
             .filter(|s| !collected.contains(&s.rpc_id))
             .map(|s| (*s).clone())
             .collect()
+    }
+
+    fn remember_collected(&mut self, rpc_id: RpcId) {
+        if !self.collected_ids.insert(rpc_id) {
+            return;
+        }
+        self.collected.push_back(rpc_id);
+        if self.collected.len() > self.config.total_slots {
+            if let Some(oldest) = self.collected.pop_front() {
+                self.collected_ids.remove(&oldest);
+            }
+        }
     }
 
     /// All distinct requests currently stored (recovery data, §4.6).
@@ -261,6 +301,8 @@ impl WitnessCache {
         self.occupied = 0;
         self.suspects.clear();
         self.suspect_ids.clear();
+        self.collected.clear();
+        self.collected_ids.clear();
     }
 }
 
@@ -456,6 +498,46 @@ mod tests {
         assert_eq!(c.occupied_slots(), 0);
         assert!(c.all_requests().is_empty());
         assert_eq!(c.record(req("a", 1, 2)), RecordOutcome::Accepted);
+    }
+
+    #[test]
+    fn late_record_after_its_gc_takes_no_slot() {
+        let mut c = cache();
+        let late = multi_req(&["a", "b"], 1, 1);
+        let pairs: Vec<_> = late.key_hashes.iter().map(|&kh| (kh, late.rpc_id)).collect();
+        assert!(c.gc(&pairs).is_empty());
+        assert_eq!(c.record(late), RecordOutcome::Collected);
+        assert_eq!(c.occupied_slots(), 0);
+        // Other requests on the same keys are untouched by the memory.
+        assert_eq!(c.record(req("a", 2, 1)), RecordOutcome::Accepted);
+    }
+
+    #[test]
+    fn collected_ids_are_forgotten_oldest_first() {
+        let mut c = WitnessCache::new(CacheConfig {
+            total_slots: 4,
+            associativity: 4,
+            gc_suspicion_rounds: 3,
+        });
+        let late: Vec<_> = (1..=5).map(|seq| req(&format!("k{seq}"), 1, seq)).collect();
+        for r in &late {
+            c.gc(&[(r.key_hashes[0], r.rpc_id)]);
+        }
+        // total_slots + 1 misses: the first id no longer fits the memory.
+        assert_eq!(c.record(late[0].clone()), RecordOutcome::Accepted);
+        for r in &late[1..] {
+            assert_eq!(c.record(r.clone()), RecordOutcome::Collected);
+        }
+        assert_eq!(c.occupied_slots(), 1);
+    }
+
+    #[test]
+    fn reset_forgets_collected_ids() {
+        let mut c = cache();
+        let late = req("x", 1, 1);
+        c.gc(&[(late.key_hashes[0], late.rpc_id)]);
+        c.reset();
+        assert_eq!(c.record(late), RecordOutcome::Accepted);
     }
 
     #[test]

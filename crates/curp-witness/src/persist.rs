@@ -253,6 +253,28 @@ mod tests {
     }
 
     #[test]
+    fn a_late_record_replays_to_no_slot() {
+        let dir = TempDir::new("curp-witness-journal").unwrap();
+        let path = dir.path().join("late");
+        let late = req("k", 1);
+        let pair = (late.key_hashes[0], late.rpc_id);
+        {
+            let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
+            w.handle_request(&Request::WitnessStart { master_id: M });
+            w.handle_request(&Request::WitnessGc { master_id: M, entries: vec![pair] });
+            let rsp = w.handle_request(&Request::WitnessRecord { request: late.clone() });
+            assert_eq!(rsp, Response::RecordAccepted);
+        }
+        let w = JournaledWitness::open(CacheConfig::default(), &path).unwrap();
+        assert_eq!(w.service().occupancy(M), 0, "a late record took a slot on replay");
+        // The replayed gc still remembers the id.
+        let rsp = w.handle_request(&Request::WitnessRecord { request: late });
+        assert_eq!(rsp, Response::RecordAccepted);
+        assert_eq!(w.service().occupancy(M), 0);
+        assert_eq!(w.service().counters().collected, 2);
+    }
+
+    #[test]
     fn freeze_is_irreversible_across_restart() {
         let dir = TempDir::new("curp-witness-journal").unwrap();
         let path = dir.path().join("freeze");

@@ -50,6 +50,9 @@ struct Instance {
 pub struct WitnessCounters {
     /// `record` RPCs accepted.
     pub accepted: u64,
+    /// Of the accepted, those that arrived after a gc had collected their
+    /// operation and so took no slot ([`RecordOutcome::Collected`]).
+    pub collected: u64,
     /// `record` RPCs rejected (any reason).
     pub rejected: u64,
     /// gc RPCs processed.
@@ -61,6 +64,7 @@ pub struct WitnessService {
     config: CacheConfig,
     instances: Mutex<HashMap<MasterId, Arc<Instance>>>,
     accepted: AtomicU64,
+    collected: AtomicU64,
     rejected: AtomicU64,
     gcs: AtomicU64,
 }
@@ -76,6 +80,7 @@ impl WitnessService {
                 HashMap::new(),
             ),
             accepted: AtomicU64::new(0),
+            collected: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             gcs: AtomicU64::new(0),
         }
@@ -107,25 +112,31 @@ impl WitnessService {
     }
 
     /// `record(...)`: accepts iff the instance exists, is in normal mode,
-    /// was started for `request.master_id`, and the cache accepts.
+    /// was started for `request.master_id`, and the cache accepts it or
+    /// reports its operation already collected.
     pub fn record(&self, request: RecordedRequest) -> bool {
-        let accepted = match self.instance(request.master_id) {
+        let outcome = match self.instance(request.master_id) {
             Some(inst) => {
                 let mode = inst.mode.read();
-                *mode == Mode::Normal
-                    && inst.cache.lock().record(request) == RecordOutcome::Accepted
+                (*mode == Mode::Normal).then(|| inst.cache.lock().record(request))
             }
             // Unknown master: reject (§4.1 — "by accepting only requests
             // for the correct master, CURP prevents clients from recording
             // to incorrect witnesses").
-            None => false,
+            None => None,
         };
-        if accepted {
-            self.accepted.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
+        match outcome {
+            Some(RecordOutcome::Accepted) => {}
+            Some(RecordOutcome::Collected) => {
+                self.collected.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {
+                self.rejected.fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
         }
-        accepted
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// `gc(...)`: frees collected slots, returns suspected stale requests.
@@ -187,6 +198,7 @@ impl WitnessService {
     pub fn counters(&self) -> WitnessCounters {
         WitnessCounters {
             accepted: self.accepted.load(Ordering::Relaxed),
+            collected: self.collected.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             gcs: self.gcs.load(Ordering::Relaxed),
         }
@@ -309,7 +321,18 @@ mod tests {
         s.record(req(M, "x", 2, 1)); // conflict
         s.gc(M, &[]);
         let c = s.counters();
-        assert_eq!((c.accepted, c.rejected, c.gcs), (1, 1, 1));
+        assert_eq!((c.accepted, c.collected, c.rejected, c.gcs), (1, 0, 1, 1));
+    }
+
+    #[test]
+    fn a_record_after_its_gc_is_accepted_and_counted_collected() {
+        let s = service();
+        let late = req(M, "x", 1, 1);
+        s.gc(M, &[(late.key_hashes[0], late.rpc_id)]);
+        assert!(s.record(late));
+        assert_eq!(s.occupancy(M), 0);
+        let c = s.counters();
+        assert_eq!((c.accepted, c.collected, c.rejected), (1, 1, 0));
     }
 
     #[test]
@@ -333,9 +356,7 @@ mod tests {
                                 accepted.fetch_add(1, Ordering::Relaxed);
                             }
                             RecordOutcome::SetFull => {}
-                            RecordOutcome::ConflictingKey => {
-                                panic!("distinct keys must never key-conflict")
-                            }
+                            other => panic!("distinct fresh keys cannot be {other:?}"),
                         }
                     }
                 });
