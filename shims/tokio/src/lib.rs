@@ -11,9 +11,10 @@
 //! * every flavor runs on the calling thread (`multi_thread` is accepted
 //!   and ignored) — tasks interleave cooperatively, never in parallel;
 //! * `select!` polls branches in declaration order (left-biased);
-//! * TCP readiness is epoll-driven and therefore Linux-only: one
-//!   process-wide poller thread serves every runtime, with one waker per
-//!   direction per socket (see [`net`]).
+//! * TCP readiness is epoll-driven and therefore Linux-only: each runtime
+//!   owns an epoll instance that its executor waits in when idle, so there
+//!   is no I/O thread; a socket registers with every runtime whose task
+//!   parks on it and keeps one waker per direction (see [`net`]).
 
 pub mod io;
 pub mod net;

@@ -1,27 +1,40 @@
 //! Async TCP on nonblocking `std::net` sockets, woken by epoll.
 //!
-//! Readiness model: one process-wide epoll instance and one
-//! `tokio-shim-io-poller` thread blocked in `epoll_wait`. Every socket is
-//! registered once, when it is created, edge-triggered for readable,
-//! writable and peer hang-up, under a token that is never reused (a socket
-//! closed and its fd number recycled can never wake the new owner's tasks).
-//! A registration holds one waker slot per direction: a future that hits
-//! `WouldBlock` stores its waker in its direction's slot, and the poller
-//! takes and wakes it when an edge for that direction arrives. The two
-//! halves of a split stream share one registration.
+//! Readiness model: every runtime owns a `Reactor`, one epoll instance
+//! plus one `eventfd`, and its executor waits in that epoll whenever it has
+//! nothing to run (`rt.rs`); there is no I/O thread. A socket registers
+//! with the reactor of each runtime whose task parks on it, at that first
+//! park, edge-triggered for readable, writable and peer hang-up, under a
+//! token that is never reused (a socket closed and its fd number recycled
+//! can never wake the new owner's tasks). So a listener bound on one
+//! runtime can still be accepted on from another. A socket holds one waker
+//! slot per direction: a future that hits `WouldBlock` stores its waker in
+//! its direction's slot, and the executor that receives an edge for that
+//! direction takes and wakes it. The two halves of a split stream share
+//! one socket and its slots.
 //!
-//! Linux-only: the three `epoll` calls are declared against the libc that
-//! `std` already links, so the shim stays dependency-free.
+//! The `eventfd` is how a waker on another thread rouses an executor parked
+//! in its epoll; it is written only when the executor is parked.
+//!
+//! Linux-only: the epoll and eventfd calls are declared against the libc
+//! that `std` already links, so the shim stays dependency-free.
 
 use std::collections::HashMap;
+use std::ffi::c_long;
+use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
-use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::task::{Context, Poll, Waker};
+use std::time::Duration;
+
+use crate::rt::Core;
 
 const EPOLL_CLOEXEC: i32 = 0o2_000_000;
+const EFD_CLOEXEC: i32 = 0o2_000_000;
+const EFD_NONBLOCK: i32 = 0o4_000;
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLLIN: u32 = 0x001;
@@ -30,6 +43,11 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
+const ENOSYS: i32 = 38;
+const EPERM: i32 = 1;
+
+/// The token of a reactor's own `eventfd`; sockets start at 1.
+const WAKE_TOKEN: u64 = 0;
 
 /// `struct epoll_event`. The kernel declares it packed on x86_64 only.
 #[repr(C)]
@@ -41,10 +59,52 @@ struct EpollEvent {
     token: u64,
 }
 
+/// `struct timespec`.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_pwait2(
+        epfd: i32,
+        events: *mut EpollEvent,
+        maxevents: i32,
+        timeout: *const Timespec,
+        sigmask: *const u8,
+    ) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    fn eventfd(initval: u32, flags: i32) -> i32;
+}
+
+/// Registrations alive across every reactor (tests: every drop must
+/// deregister).
+static REGISTERED: AtomicUsize = AtomicUsize::new(0);
+
+/// Socket registrations currently held by reactors, process-wide; a socket
+/// counts once per runtime it is registered with.
+#[doc(hidden)]
+pub fn registered_sources() -> usize {
+    REGISTERED.load(Ordering::Relaxed)
+}
+
+/// Every critical section on these mutexes is a single map, list or slot
+/// operation, so a panic elsewhere cannot leave one half-updated: a poisoned
+/// lock is used as it stands, and `Drop` never panics on one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wraps a returned fd, or the error a negative return stands for.
+fn owned_fd(fd: i32) -> io::Result<OwnedFd> {
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: the kernel just returned `fd`, and nothing else owns it.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
 /// The wakers parked on one socket, one per direction.
@@ -54,46 +114,68 @@ struct Slots {
     write: Mutex<Option<Waker>>,
 }
 
-struct Poller {
-    epfd: RawFd,
-    next_token: AtomicU64,
+fn wake(slot: &Mutex<Option<Waker>>) {
+    let waker = lock(slot).take();
+    if let Some(waker) = waker {
+        waker.wake();
+    }
+}
+
+/// One runtime's epoll instance, the `eventfd` that rouses it, and the
+/// sockets registered with it.
+pub(crate) struct Reactor {
+    epfd: OwnedFd,
+    /// Registered level-triggered under [`WAKE_TOKEN`]: readable from a
+    /// write until the executor reads it.
+    wakefd: File,
     /// Live registrations by token.
     sources: Mutex<HashMap<u64, Weak<Slots>>>,
+    /// Set by the first registration. Until then the executor never polls
+    /// while it has work, so a runtime without sockets (every simulation)
+    /// makes no epoll call except to wait for a cross-thread wake. Written
+    /// and read only on the executor's thread, which is the one a parking
+    /// task runs on.
+    has_sources: AtomicBool,
 }
 
-/// The process-wide poller, started on first use. Its thread lives as long
-/// as the process and is never joined.
-fn poller() -> &'static Poller {
-    static POLLER: OnceLock<Poller> = OnceLock::new();
-    POLLER.get_or_init(|| {
-        // SAFETY: a plain syscall; it takes no pointers.
-        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-        assert!(epfd >= 0, "epoll_create1: {}", io::Error::last_os_error());
-        std::thread::Builder::new()
-            .name("tokio-shim-io-poller".into())
-            .spawn(move || poll_forever(epfd))
-            .expect("spawn io poller");
-        Poller { epfd, next_token: AtomicU64::new(1), sources: Mutex::default() }
-    })
-}
-
-/// The poller thread: waits for edges and wakes the wakers they are for.
-/// Wakers are woken with no lock held, since waking re-enters the runtime.
-fn poll_forever(epfd: RawFd) -> ! {
-    let mut events = [EpollEvent { events: 0, token: 0 }; 256];
-    let sources = &poller().sources;
-    loop {
-        // SAFETY: `events` is writable for `events.len()` entries, and the
-        // kernel writes at most that many.
-        let n = unsafe { epoll_wait(epfd, events.as_mut_ptr(), events.len() as i32, -1) };
-        if n < 0 {
-            let err = io::Error::last_os_error();
-            assert_eq!(err.kind(), io::ErrorKind::Interrupted, "epoll_wait: {err}");
-            continue;
+impl Reactor {
+    pub(crate) fn new() -> io::Result<Reactor> {
+        // SAFETY (both): plain syscalls; they take no pointers.
+        let epfd = owned_fd(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        let wakefd = File::from(owned_fd(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?);
+        let mut ev = EpollEvent { events: EPOLLIN, token: WAKE_TOKEN };
+        // SAFETY: both fds are open, and the kernel copies `ev`.
+        if unsafe { epoll_ctl(epfd.as_raw_fd(), EPOLL_CTL_ADD, wakefd.as_raw_fd(), &mut ev) } < 0 {
+            return Err(io::Error::last_os_error());
         }
-        for ev in &events[..n as usize] {
+        Ok(Reactor { epfd, wakefd, sources: Mutex::default(), has_sources: AtomicBool::new(false) })
+    }
+
+    /// Whether a socket has ever registered here.
+    pub(crate) fn has_sources(&self) -> bool {
+        self.has_sources.load(Ordering::Relaxed)
+    }
+
+    /// Rouses the executor waiting in [`Reactor::poll`].
+    pub(crate) fn unpark(&self) {
+        // Only a counter at its 2^64 - 2 ceiling refuses the write, and that
+        // counter is already readable, which is all the wake needs.
+        let _ = (&self.wakefd).write(&1u64.to_ne_bytes());
+    }
+
+    /// Waits up to `timeout` (zero: only looks) for readiness edges and
+    /// wakes the wakers they are for. Wakers are woken with no lock held,
+    /// since waking re-enters a runtime.
+    pub(crate) fn poll(&self, timeout: Duration) {
+        let mut events = [EpollEvent { events: 0, token: 0 }; 64];
+        let n = self.wait(&mut events, timeout);
+        for ev in &events[..n] {
             let (bits, token) = (ev.events, ev.token);
-            let slots = lock(sources).get(&token).and_then(Weak::upgrade);
+            if token == WAKE_TOKEN {
+                let _ = (&self.wakefd).read(&mut [0u8; 8]);
+                continue;
+            }
+            let slots = lock(&self.sources).get(&token).and_then(Weak::upgrade);
             let Some(slots) = slots else { continue };
             if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
                 wake(&slots.read);
@@ -103,61 +185,116 @@ fn poll_forever(epfd: RawFd) -> ! {
             }
         }
     }
-}
 
-/// Every critical section on the poller's mutexes is a single map or slot
-/// operation, so a panic elsewhere cannot leave one half-updated: a poisoned
-/// lock is used as it stands, and `Drop` never panics on one.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+    /// `epoll_pwait2`, whose timespec keeps sub-millisecond deadlines
+    /// exact. A kernel without it (before Linux 5.11, or a sandbox that
+    /// refuses it) gets `epoll_wait` with the timeout rounded up to a
+    /// millisecond.
+    fn wait(&self, events: &mut [EpollEvent], timeout: Duration) -> usize {
+        static NO_PWAIT2: AtomicBool = AtomicBool::new(false);
+        let (epfd, max) = (self.epfd.as_raw_fd(), events.len() as i32);
+        let mut n = -1;
+        if !NO_PWAIT2.load(Ordering::Relaxed) {
+            let ts = Timespec {
+                tv_sec: timeout.as_secs() as c_long,
+                tv_nsec: timeout.subsec_nanos() as c_long,
+            };
+            // SAFETY: `events` is writable for `max` entries, the kernel
+            // writes at most that many, and `ts` outlives the call.
+            n = unsafe { epoll_pwait2(epfd, events.as_mut_ptr(), max, &ts, std::ptr::null()) };
+            if n < 0 && matches!(io::Error::last_os_error().raw_os_error(), Some(ENOSYS | EPERM)) {
+                NO_PWAIT2.store(true, Ordering::Relaxed);
+            }
+        }
+        if NO_PWAIT2.load(Ordering::Relaxed) {
+            let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
+            // SAFETY: as above.
+            n = unsafe { epoll_wait(epfd, events.as_mut_ptr(), max, ms) };
+        }
+        if n < 0 {
+            let err = io::Error::last_os_error();
+            assert_eq!(err.kind(), io::ErrorKind::Interrupted, "epoll wait: {err}");
+            return 0;
+        }
+        n as usize
+    }
 
-fn wake(slot: &Mutex<Option<Waker>>) {
-    let waker = lock(slot).take();
-    if let Some(waker) = waker {
-        waker.wake();
+    fn register(&self, fd: RawFd, token: u64, slots: &Arc<Slots>) -> io::Result<()> {
+        // In the map before the kernel can report an edge for it.
+        lock(&self.sources).insert(token, Arc::downgrade(slots));
+        let mut ev = EpollEvent { events: EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET, token };
+        // SAFETY: `fd` is open (its `Source` is alive), and the kernel
+        // copies `ev`.
+        if unsafe { epoll_ctl(self.epfd.as_raw_fd(), EPOLL_CTL_ADD, fd, &mut ev) } < 0 {
+            lock(&self.sources).remove(&token);
+            return Err(io::Error::last_os_error());
+        }
+        REGISTERED.fetch_add(1, Ordering::Relaxed);
+        self.has_sources.store(true, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn deregister(&self, fd: RawFd, token: u64) {
+        // SAFETY: `fd` is still open, and `EPOLL_CTL_DEL` ignores the event
+        // pointer (null since Linux 2.6.9).
+        unsafe { epoll_ctl(self.epfd.as_raw_fd(), EPOLL_CTL_DEL, fd, std::ptr::null_mut()) };
+        if lock(&self.sources).remove(&token).is_some() {
+            REGISTERED.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
-/// Sockets currently registered with the poller (tests: every drop must
-/// deregister).
-#[doc(hidden)]
-pub fn registered_sources() -> usize {
-    lock(&poller().sources).len()
+impl Drop for Reactor {
+    fn drop(&mut self) {
+        // Closing the epoll fd ends every registration still in it.
+        let live = lock(&self.sources).len();
+        REGISTERED.fetch_sub(live, Ordering::Relaxed);
+    }
 }
 
-/// A nonblocking socket registered with the poller for its whole life.
+/// A nonblocking socket, registered with a runtime's reactor from the
+/// first time a task of that runtime parks on it.
 pub(crate) struct Source<S: AsRawFd> {
     sock: S,
     token: u64,
     slots: Arc<Slots>,
+    /// The runtimes whose reactors hold this socket.
+    cores: Mutex<Vec<Weak<Core>>>,
 }
 
 impl<S: AsRawFd> Source<S> {
-    /// Registers `sock`, which must already be nonblocking.
-    fn new(sock: S) -> io::Result<Source<S>> {
-        let p = poller();
-        let token = p.next_token.fetch_add(1, Ordering::Relaxed);
-        let slots = Arc::new(Slots::default());
-        // In the map before the kernel can report an edge for it; from here
-        // on `Drop` undoes the registration, a failed one included.
-        lock(&p.sources).insert(token, Arc::downgrade(&slots));
-        let source = Source { sock, token, slots };
-        let mut ev = EpollEvent { events: EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET, token };
-        // SAFETY: `sock` owns an open fd, and `ev` outlives the call (the
-        // kernel copies it).
-        if unsafe { epoll_ctl(p.epfd, EPOLL_CTL_ADD, source.sock.as_raw_fd(), &mut ev) } < 0 {
-            return Err(io::Error::last_os_error());
+    /// Wraps `sock`, which must already be nonblocking.
+    fn new(sock: S) -> Source<S> {
+        static NEXT_TOKEN: AtomicU64 = AtomicU64::new(WAKE_TOKEN + 1);
+        Source {
+            sock,
+            token: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed),
+            slots: Arc::default(),
+            cores: Mutex::default(),
         }
-        Ok(source)
+    }
+
+    /// Registers the socket with the calling task's runtime, once.
+    fn register_here(&self) -> io::Result<()> {
+        let core = crate::rt::current();
+        let mut cores = lock(&self.cores);
+        // A held `Weak` keeps its allocation, so the address is not reused.
+        if cores.iter().any(|c| std::ptr::eq(c.as_ptr(), Arc::as_ptr(&core))) {
+            return Ok(());
+        }
+        core.reactor().register(self.sock.as_raw_fd(), self.token, &self.slots)?;
+        cores.retain(|c| c.strong_count() > 0);
+        cores.push(Arc::downgrade(&core));
+        Ok(())
     }
 
     /// Runs `op` on the socket, parking the task on `slot` while it reports
     /// `WouldBlock`.
     ///
     /// After parking, `op` is tried once more before returning `Pending`:
-    /// an edge that fired between the first try and the store found the
-    /// slot empty, and the retry sees the readiness it reported.
+    /// an edge that fired between the first try and the store (or before
+    /// the registration) found the slot empty, and the retry sees the
+    /// readiness it reported.
     fn poll_io<T>(
         &self,
         slot: &Mutex<Option<Waker>>,
@@ -173,6 +310,9 @@ impl<S: AsRawFd> Source<S> {
                         return Poll::Pending;
                     }
                     *lock(slot) = Some(cx.waker().clone());
+                    if let Err(e) = self.register_here() {
+                        return Poll::Ready(Err(e));
+                    }
                     parked = true;
                 }
                 done => return Poll::Ready(done),
@@ -183,11 +323,11 @@ impl<S: AsRawFd> Source<S> {
 
 impl<S: AsRawFd> Drop for Source<S> {
     fn drop(&mut self) {
-        let p = poller();
-        // SAFETY: the fd is still open (`sock` drops after this body), and
-        // `EPOLL_CTL_DEL` ignores the event pointer (null since Linux 2.6.9).
-        unsafe { epoll_ctl(p.epfd, EPOLL_CTL_DEL, self.sock.as_raw_fd(), std::ptr::null_mut()) };
-        lock(&p.sources).remove(&self.token);
+        // The fd is still open here: `sock` drops after this body.
+        let cores = self.cores.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for core in cores.drain(..).filter_map(|c| c.upgrade()) {
+            core.reactor().deregister(self.sock.as_raw_fd(), self.token);
+        }
     }
 }
 
@@ -221,7 +361,7 @@ impl TcpListener {
     pub async fn bind(addr: impl std::net::ToSocketAddrs) -> io::Result<TcpListener> {
         let inner = std::net::TcpListener::bind(addr)?;
         inner.set_nonblocking(true)?;
-        Ok(TcpListener { io: Source::new(inner)? })
+        Ok(TcpListener { io: Source::new(inner) })
     }
 
     /// The bound local address.
@@ -246,7 +386,7 @@ pub struct TcpStream {
 impl TcpStream {
     fn new(stream: std::net::TcpStream) -> io::Result<TcpStream> {
         stream.set_nonblocking(true)?;
-        Ok(TcpStream { io: Source::new(stream)? })
+        Ok(TcpStream { io: Source::new(stream) })
     }
 
     /// Connects to `addr`.

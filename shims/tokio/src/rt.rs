@@ -2,15 +2,28 @@
 //! with a timer wheel that can run on real time or on a paused virtual
 //! clock (auto-advancing to the next timer deadline when idle, like tokio's
 //! `start_paused`).
+//!
+//! An idle executor parks in its own `Reactor`'s epoll until its next
+//! timer deadline, a socket edge or a wake from another thread. A wake
+//! makes a syscall (an `eventfd` write) only when the executor is parked.
 
 use std::cell::RefCell;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
+
+use crate::net::Reactor;
+
+/// Task polls between two looks at the reactor while tasks stay ready, so
+/// a runtime that always has work still sees its sockets.
+const POLLS_PER_IO_LOOK: u32 = 32;
+
+/// The longest the executor parks in its reactor without a timer due.
+const MAX_PARK: Duration = Duration::from_millis(50);
 
 thread_local! {
     static CURRENT: RefCell<Vec<Arc<Core>>> = const { RefCell::new(Vec::new()) };
@@ -62,28 +75,36 @@ struct CoreState {
     vnow: Duration,
     paused: bool,
     timer_seq: u64,
+    /// The executor is waiting in the reactor, so the next wake must rouse
+    /// it. Set by the executor; the first wake that sees it clears it.
+    parked: bool,
 }
 
 /// Shared state of one runtime.
 pub(crate) struct Core {
     state: Mutex<CoreState>,
-    cv: Condvar,
+    reactor: Reactor,
     epoch: std::time::Instant,
 }
 
 impl Core {
-    pub(crate) fn new(start_paused: bool) -> Arc<Core> {
-        Arc::new(Core {
+    pub(crate) fn new(start_paused: bool) -> std::io::Result<Arc<Core>> {
+        Ok(Arc::new(Core {
             state: Mutex::new(CoreState {
                 ready: VecDeque::new(),
                 timers: BinaryHeap::new(),
                 vnow: Duration::ZERO,
                 paused: start_paused,
                 timer_seq: 0,
+                parked: false,
             }),
-            cv: Condvar::new(),
+            reactor: Reactor::new()?,
             epoch: std::time::Instant::now(),
-        })
+        }))
+    }
+
+    pub(crate) fn reactor(&self) -> &Reactor {
+        &self.reactor
     }
 
     /// Current time on this runtime's clock, as an offset from its epoch.
@@ -114,7 +135,6 @@ impl Core {
         let expired = Self::take_expired(&mut st, now);
         drop(st);
         wake_all(expired);
-        self.cv.notify_all();
     }
 
     pub(crate) fn register_timer(&self, deadline: Duration, waker: Waker) {
@@ -125,12 +145,21 @@ impl Core {
     }
 
     fn enqueue(&self, task: Arc<Task>) {
-        self.state.lock().unwrap().ready.push_back(task);
-        self.cv.notify_all();
+        let mut st = self.state.lock().unwrap();
+        st.ready.push_back(task);
+        self.rouse(st);
     }
 
-    pub(crate) fn notify(&self) {
-        self.cv.notify_all();
+    /// Unparks the executor if it is parked. Takes the state lock from a
+    /// caller that has just made work visible under it: the executor checks
+    /// for work and sets `parked` under the same lock, so the work is either
+    /// seen before parking or finds `parked` set.
+    fn rouse(&self, mut st: MutexGuard<'_, CoreState>) {
+        let parked = std::mem::take(&mut st.parked);
+        drop(st);
+        if parked {
+            self.reactor.unpark();
+        }
     }
 
     /// Pops every timer due at `now`. The caller must wake the returned
@@ -163,19 +192,32 @@ impl Core {
         let waker = Waker::from(Arc::clone(&main_woken));
         let mut cx = Context::from_waker(&waker);
         let mut fut = std::pin::pin!(fut);
+        let mut polls_since_io_look = 0;
+        // The reactor was looked at and nothing has run since.
+        let mut io_looked = false;
 
         loop {
             // 1. Poll the main future whenever it has been woken.
             if main_woken.flag.swap(false, Ordering::AcqRel) {
+                io_looked = false;
                 if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
                     return v;
                 }
             }
 
-            // 2. Run one ready task.
+            // 2. Run one ready task, looking at the reactor every
+            //    POLLS_PER_IO_LOOK polls.
             let task = self.state.lock().unwrap().ready.pop_front();
             if let Some(task) = task {
                 task.run();
+                io_looked = false;
+                polls_since_io_look += 1;
+                if polls_since_io_look == POLLS_PER_IO_LOOK {
+                    polls_since_io_look = 0;
+                    if self.reactor.has_sources() {
+                        self.reactor.poll(Duration::ZERO);
+                    }
+                }
                 continue;
             }
 
@@ -190,17 +232,21 @@ impl Core {
                     continue;
                 }
             }
-            if main_woken.flag.load(Ordering::Acquire) {
-                continue;
-            }
 
             // 4. Idle: advance virtual time or park until the next event.
             let mut st = self.state.lock().unwrap();
             if !st.ready.is_empty() || main_woken.flag.load(Ordering::Acquire) {
                 continue; // something arrived while re-locking
             }
-            if st.paused {
+            let wait = if st.paused {
                 if let Some(next) = st.timers.peek().map(|t| t.deadline) {
+                    if self.reactor.has_sources() && !io_looked {
+                        // Sockets first: their I/O may be what runs next.
+                        drop(st);
+                        self.reactor.poll(Duration::ZERO);
+                        io_looked = true;
+                        continue;
+                    }
                     // Jump the virtual clock straight to the next deadline.
                     st.vnow = st.vnow.max(next);
                     let now = st.vnow;
@@ -210,15 +256,17 @@ impl Core {
                     continue;
                 }
                 // No timers: wait for an external wake (cross-thread waker).
-                let _ = self.cv.wait_timeout(st, Duration::from_millis(10)).unwrap();
+                MAX_PARK
             } else {
                 let now = self.epoch.elapsed();
-                let wait = match st.timers.peek() {
-                    Some(t) => t.deadline.saturating_sub(now).min(Duration::from_millis(50)),
-                    None => Duration::from_millis(50),
-                };
-                let _ = self.cv.wait_timeout(st, wait.max(Duration::from_micros(100))).unwrap();
-            }
+                st.timers.peek().map_or(MAX_PARK, |t| t.deadline.saturating_sub(now).min(MAX_PARK))
+            };
+            st.parked = true;
+            drop(st);
+            self.reactor.poll(wait);
+            self.state.lock().unwrap().parked = false;
+            polls_since_io_look = 0;
+            io_looked = true;
         }
     }
 }
@@ -238,11 +286,9 @@ impl Wake for MainWaker {
     fn wake(self: Arc<Self>) {
         self.flag.store(true, Ordering::Release);
         if let Some(core) = self.core.upgrade() {
-            // Notify under the state lock, as `enqueue` pushes under it: a
-            // wake can then not fall between `block_on`'s locked re-check
-            // and its `wait_timeout`, where the notification would be lost.
-            let _state = core.state.lock().unwrap();
-            core.notify();
+            // Under the state lock, like a task's wake: the flag is then set
+            // either before `block_on`'s locked re-check or before it parks.
+            core.rouse(core.state.lock().unwrap());
         }
     }
 }
@@ -271,10 +317,9 @@ impl Task {
 impl Wake for Task {
     fn wake(self: Arc<Self>) {
         if let Some(core) = self.core.upgrade() {
+            // An already queued task is run before the executor parks.
             if !self.queued.swap(true, Ordering::AcqRel) {
                 core.enqueue(Arc::clone(&self));
-            } else {
-                core.notify();
             }
         }
     }

@@ -52,7 +52,7 @@ impl Builder {
 
     /// Builds the runtime.
     pub fn build(&mut self) -> std::io::Result<Runtime> {
-        Ok(Runtime { core: Core::new(self.start_paused) })
+        Ok(Runtime { core: Core::new(self.start_paused)? })
     }
 }
 
