@@ -7,11 +7,20 @@
 //! park, edge-triggered for readable, writable and peer hang-up, under a
 //! token that is never reused (a socket closed and its fd number recycled
 //! can never wake the new owner's tasks). So a listener bound on one
-//! runtime can still be accepted on from another. A socket holds one waker
-//! slot per direction: a future that hits `WouldBlock` stores its waker in
-//! its direction's slot, and the executor that receives an edge for that
-//! direction takes and wakes it. The two halves of a split stream share
-//! one socket and its slots.
+//! runtime can still be accepted on from another. The two halves of a split
+//! stream share one socket and its registration.
+//!
+//! Each direction of a socket keeps a waker slot and a readiness word,
+//! `(edges << 1) | ready`, as tokio's `ScheduledIo` does. The ready bit
+//! starts set ("try the socket"). An edge for the direction bumps the edge
+//! count, sets the bit and wakes the slot's waker. An operation runs only
+//! while the bit is set. `WouldBlock` clears it, and so does a short read
+//! or write: under `EPOLLET` that means the kernel buffer was drained (or
+//! filled), and any later change raises a new edge. The clear is a
+//! compare-and-swap against the word read before the operation, so an edge
+//! that landed meanwhile is never lost. A task that finds the bit clear
+//! stores its waker, registers, and looks at the bit once more; it parks
+//! without a syscall.
 //!
 //! The `eventfd` is how a waker on another thread rouses an executor parked
 //! in its epoll; it is written only when the executor is parked.
@@ -107,18 +116,50 @@ fn owned_fd(fd: i32) -> io::Result<OwnedFd> {
     Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
-/// The wakers parked on one socket, one per direction.
-#[derive(Default)]
-struct Slots {
-    read: Mutex<Option<Waker>>,
-    write: Mutex<Option<Waker>>,
+/// The ready bit of a [`Direction`]'s word; the bits above count edges.
+const READY: u64 = 1;
+
+/// One direction of a socket: the waker parked on it and its readiness.
+struct Direction {
+    waker: Mutex<Option<Waker>>,
+    /// `(edges << 1) | READY`. The word publishes no memory (the bytes are
+    /// the kernel's). An edge against a parking task is ordered by the
+    /// `waker` mutex: the reactor takes it after its update, the task
+    /// between storing its waker and its re-check, so one of the two sees
+    /// the other.
+    ready: AtomicU64,
 }
 
-fn wake(slot: &Mutex<Option<Waker>>) {
-    let waker = lock(slot).take();
-    if let Some(waker) = waker {
-        waker.wake();
+impl Default for Direction {
+    fn default() -> Direction {
+        Direction { waker: Mutex::default(), ready: AtomicU64::new(READY) }
     }
+}
+
+impl Direction {
+    /// Records an edge and wakes the parked waker.
+    fn edge(&self) {
+        let _ = self.ready.fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
+            Some((word | READY).wrapping_add(2))
+        });
+        let waker = lock(&self.waker).take();
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+    }
+
+    /// Clears the ready bit unless an edge has landed since `seen` was read.
+    fn clear(&self, seen: u64) {
+        let _ =
+            self.ready.compare_exchange(seen, seen & !READY, Ordering::AcqRel, Ordering::Acquire);
+    }
+}
+
+/// One socket's two directions.
+#[derive(Default)]
+struct Slots {
+    read: Direction,
+    write: Direction,
 }
 
 /// One runtime's epoll instance, the `eventfd` that rouses it, and the
@@ -163,12 +204,13 @@ impl Reactor {
         let _ = (&self.wakefd).write(&1u64.to_ne_bytes());
     }
 
-    /// Waits up to `timeout` (zero: only looks) for readiness edges and
-    /// wakes the wakers they are for. Wakers are woken with no lock held,
-    /// since waking re-enters a runtime.
-    pub(crate) fn poll(&self, timeout: Duration) {
+    /// Waits up to `timeout` (zero: only looks) for readiness edges, calls
+    /// `awake`, then records the edges and wakes the wakers they are for.
+    /// Wakers are woken with no lock held, since waking re-enters a runtime.
+    pub(crate) fn poll(&self, timeout: Duration, awake: impl FnOnce()) {
         let mut events = [EpollEvent { events: 0, token: 0 }; 64];
         let n = self.wait(&mut events, timeout);
+        awake();
         for ev in &events[..n] {
             let (bits, token) = (ev.events, ev.token);
             if token == WAKE_TOKEN {
@@ -178,10 +220,10 @@ impl Reactor {
             let slots = lock(&self.sources).get(&token).and_then(Weak::upgrade);
             let Some(slots) = slots else { continue };
             if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
-                wake(&slots.read);
+                slots.read.edge();
             }
             if bits & (EPOLLOUT | EPOLLHUP | EPOLLERR) != 0 {
-                wake(&slots.write);
+                slots.write.edge();
             }
         }
     }
@@ -288,34 +330,45 @@ impl<S: AsRawFd> Source<S> {
         Ok(())
     }
 
-    /// Runs `op` on the socket, parking the task on `slot` while it reports
-    /// `WouldBlock`.
-    ///
-    /// After parking, `op` is tried once more before returning `Pending`:
-    /// an edge that fired between the first try and the store (or before
-    /// the registration) found the slot empty, and the retry sees the
-    /// readiness it reported.
+    /// Runs `op` on the socket while `dir` is ready, parking the task on
+    /// `dir` while it is not. `drained` says whether a result shows the
+    /// kernel buffer drained (a short read) or filled (a short write).
     fn poll_io<T>(
         &self,
-        slot: &Mutex<Option<Waker>>,
+        dir: &Direction,
         cx: &mut Context<'_>,
         mut op: impl FnMut(&S) -> io::Result<T>,
+        drained: impl Fn(&T) -> bool,
     ) -> Poll<io::Result<T>> {
-        let mut parked = false;
         loop {
+            let seen = dir.ready.load(Ordering::Acquire);
+            if seen & READY == 0 {
+                *lock(&dir.waker) = Some(cx.waker().clone());
+                if let Err(e) = self.register_here() {
+                    return Poll::Ready(Err(e));
+                }
+                // An edge between the load and the store found the slot
+                // empty, but it set the bit.
+                if dir.ready.load(Ordering::Acquire) & READY == 0 {
+                    return Poll::Pending;
+                }
+                continue;
+            }
             match op(&self.sock) {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if parked {
-                        return Poll::Pending;
+                    if let Some(core) = crate::rt::try_current() {
+                        core.count_would_block();
                     }
-                    *lock(slot) = Some(cx.waker().clone());
-                    if let Err(e) = self.register_here() {
-                        return Poll::Ready(Err(e));
-                    }
-                    parked = true;
+                    dir.clear(seen);
                 }
-                done => return Poll::Ready(done),
+                Ok(done) => {
+                    if drained(&done) {
+                        dir.clear(seen);
+                    }
+                    return Poll::Ready(Ok(done));
+                }
+                Err(e) => return Poll::Ready(Err(e)),
             }
         }
     }
@@ -333,17 +386,25 @@ impl<S: AsRawFd> Drop for Source<S> {
 
 pub(crate) type StreamSource = Source<std::net::TcpStream>;
 
+/// A transfer of `n` of `len` bytes that stopped short: the kernel had no
+/// more to give, or no more room. End of file (`n == 0`) is not short; it
+/// stays readable.
+fn short(n: usize, len: usize) -> bool {
+    n > 0 && n < len
+}
+
 impl StreamSource {
     pub(crate) fn poll_read(
         &self,
         cx: &mut Context<'_>,
         buf: &mut [u8],
     ) -> Poll<io::Result<usize>> {
-        self.poll_io(&self.slots.read, cx, |mut s| s.read(buf))
+        let len = buf.len();
+        self.poll_io(&self.slots.read, cx, |mut s| s.read(buf), |&n| short(n, len))
     }
 
     pub(crate) fn poll_write(&self, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
-        self.poll_io(&self.slots.write, cx, |mut s| s.write(buf))
+        self.poll_io(&self.slots.write, cx, |mut s| s.write(buf), |&n| short(n, buf.len()))
     }
 
     pub(crate) fn shutdown_write(&self) -> io::Result<()> {
@@ -372,8 +433,11 @@ impl TcpListener {
     /// Accepts the next inbound connection.
     pub async fn accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
         let io = &self.io;
+        // One accept shows nothing about the rest of the queue, so only
+        // `WouldBlock` clears the bit.
         let (stream, peer) =
-            std::future::poll_fn(|cx| io.poll_io(&io.slots.read, cx, |l| l.accept())).await?;
+            std::future::poll_fn(|cx| io.poll_io(&io.slots.read, cx, |l| l.accept(), |_| false))
+                .await?;
         Ok((TcpStream::new(stream)?, peer))
     }
 }

@@ -6,17 +6,25 @@
 //! An idle executor parks in its own `Reactor`'s epoll until its next
 //! timer deadline, a socket edge or a wake from another thread. A wake
 //! makes a syscall (an `eventfd` write) only when the executor is parked.
+//!
+//! Before it parks, an idle executor on the real clock that has sockets
+//! spins: it looks at its reactor without sleeping for up to [`SPIN`], so a
+//! reply that is a few microseconds away is picked up without a kernel
+//! wake-up. Paused runtimes and runtimes without sockets never spin, and
+//! neither does any runtime on a one-core host, where the spinner would
+//! delay the very peer it waits for.
 
 use std::cell::RefCell;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::net::Reactor;
+use crate::runtime::RuntimeMetrics;
 
 /// Task polls between two looks at the reactor while tasks stay ready, so
 /// a runtime that always has work still sees its sockets.
@@ -24,6 +32,16 @@ const POLLS_PER_IO_LOOK: u32 = 32;
 
 /// The longest the executor parks in its reactor without a timer due.
 const MAX_PARK: Duration = Duration::from_millis(50);
+
+/// The longest an idle executor looks at its reactor without sleeping
+/// before it parks; capped by the next timer deadline.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// Whether the host has a second core for a spinning executor's peer.
+fn multicore() -> bool {
+    static MULTICORE: OnceLock<bool> = OnceLock::new();
+    *MULTICORE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2))
+}
 
 thread_local! {
     static CURRENT: RefCell<Vec<Arc<Core>>> = const { RefCell::new(Vec::new()) };
@@ -39,7 +57,6 @@ pub(crate) fn current() -> Arc<Core> {
     })
 }
 
-#[allow(dead_code)]
 pub(crate) fn try_current() -> Option<Arc<Core>> {
     CURRENT.with(|c| c.borrow().last().cloned())
 }
@@ -80,11 +97,27 @@ struct CoreState {
     parked: bool,
 }
 
+/// What one runtime's executor and its sockets have done; see
+/// [`RuntimeMetrics`].
+#[derive(Default)]
+pub(crate) struct Counters {
+    parks: AtomicU64,
+    unparks: AtomicU64,
+    spins: AtomicU64,
+    spin_wins: AtomicU64,
+    would_block: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 /// Shared state of one runtime.
 pub(crate) struct Core {
     state: Mutex<CoreState>,
     reactor: Reactor,
-    epoch: std::time::Instant,
+    epoch: Instant,
+    counters: Counters,
 }
 
 impl Core {
@@ -99,8 +132,26 @@ impl Core {
                 parked: false,
             }),
             reactor: Reactor::new()?,
-            epoch: std::time::Instant::now(),
+            epoch: Instant::now(),
+            counters: Counters::default(),
         }))
+    }
+
+    pub(crate) fn metrics(&self) -> RuntimeMetrics {
+        let c = &self.counters;
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        RuntimeMetrics {
+            parks: get(&c.parks),
+            unparks: get(&c.unparks),
+            spins: get(&c.spins),
+            spin_wins: get(&c.spin_wins),
+            would_block: get(&c.would_block),
+        }
+    }
+
+    /// Counts a socket operation that returned `WouldBlock`.
+    pub(crate) fn count_would_block(&self) {
+        bump(&self.counters.would_block);
     }
 
     pub(crate) fn reactor(&self) -> &Reactor {
@@ -158,7 +209,24 @@ impl Core {
         let parked = std::mem::take(&mut st.parked);
         drop(st);
         if parked {
+            bump(&self.counters.unparks);
             self.reactor.unpark();
+        }
+    }
+
+    /// Looks at the reactor without sleeping until a task or the main
+    /// future is ready or `budget` runs out. Returns whether one is ready.
+    fn spin(&self, budget: Duration, main_woken: &AtomicBool) -> bool {
+        let start = Instant::now();
+        loop {
+            self.reactor.poll(Duration::ZERO, || {});
+            if main_woken.load(Ordering::Acquire) || !self.state.lock().unwrap().ready.is_empty() {
+                return true;
+            }
+            if start.elapsed() >= budget {
+                return false;
+            }
+            std::hint::spin_loop();
         }
     }
 
@@ -193,7 +261,8 @@ impl Core {
         let mut cx = Context::from_waker(&waker);
         let mut fut = std::pin::pin!(fut);
         let mut polls_since_io_look = 0;
-        // The reactor was looked at and nothing has run since.
+        // The reactor was looked at (a zero-timeout look, a spin or a park)
+        // and nothing has run since.
         let mut io_looked = false;
 
         loop {
@@ -215,7 +284,7 @@ impl Core {
                 if polls_since_io_look == POLLS_PER_IO_LOOK {
                     polls_since_io_look = 0;
                     if self.reactor.has_sources() {
-                        self.reactor.poll(Duration::ZERO);
+                        self.reactor.poll(Duration::ZERO, || {});
                     }
                 }
                 continue;
@@ -233,7 +302,8 @@ impl Core {
                 }
             }
 
-            // 4. Idle: advance virtual time or park until the next event.
+            // 4. Idle: advance virtual time, or spin and then park until the
+            //    next event.
             let mut st = self.state.lock().unwrap();
             if !st.ready.is_empty() || main_woken.flag.load(Ordering::Acquire) {
                 continue; // something arrived while re-locking
@@ -243,7 +313,7 @@ impl Core {
                     if self.reactor.has_sources() && !io_looked {
                         // Sockets first: their I/O may be what runs next.
                         drop(st);
-                        self.reactor.poll(Duration::ZERO);
+                        self.reactor.poll(Duration::ZERO, || {});
                         io_looked = true;
                         continue;
                     }
@@ -259,12 +329,30 @@ impl Core {
                 MAX_PARK
             } else {
                 let now = self.epoch.elapsed();
-                st.timers.peek().map_or(MAX_PARK, |t| t.deadline.saturating_sub(now).min(MAX_PARK))
+                let wait = st
+                    .timers
+                    .peek()
+                    .map_or(MAX_PARK, |t| t.deadline.saturating_sub(now).min(MAX_PARK));
+                if !io_looked && self.reactor.has_sources() && multicore() {
+                    // A spin that finds nothing makes the next idle pass park.
+                    drop(st);
+                    bump(&self.counters.spins);
+                    if self.spin(wait.min(SPIN), &main_woken.flag) {
+                        bump(&self.counters.spin_wins);
+                    }
+                    polls_since_io_look = 0;
+                    io_looked = true;
+                    continue;
+                }
+                wait
             };
             st.parked = true;
             drop(st);
-            self.reactor.poll(wait);
-            self.state.lock().unwrap().parked = false;
+            bump(&self.counters.parks);
+            // `parked` is cleared as soon as the wait returns, before any
+            // edge wakes a task: a wake from this reactor then finds the
+            // executor awake and does not write its eventfd.
+            self.reactor.poll(wait, || self.state.lock().unwrap().parked = false);
             polls_since_io_look = 0;
             io_looked = true;
         }

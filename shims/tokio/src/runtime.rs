@@ -72,3 +72,41 @@ impl Runtime {
         self.core.block_on(fut)
     }
 }
+
+/// Counters of the calling task's runtime (see [`metrics`]).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RuntimeMetrics {
+    /// Idle passes that slept in the reactor.
+    pub parks: u64,
+    /// Wakes that found the executor parked and wrote its `eventfd`.
+    pub unparks: u64,
+    /// Idle passes that looked at the reactor without sleeping first.
+    pub spins: u64,
+    /// Spins that found a task or the main future ready.
+    pub spin_wins: u64,
+    /// Socket operations that returned `WouldBlock`.
+    pub would_block: u64,
+}
+
+/// The counts between two snapshots of one runtime.
+impl std::ops::Sub for RuntimeMetrics {
+    type Output = RuntimeMetrics;
+
+    fn sub(self, before: RuntimeMetrics) -> RuntimeMetrics {
+        RuntimeMetrics {
+            parks: self.parks - before.parks,
+            unparks: self.unparks - before.unparks,
+            spins: self.spins - before.spins,
+            spin_wins: self.spin_wins - before.spin_wins,
+            would_block: self.would_block - before.would_block,
+        }
+    }
+}
+
+/// The counters of the runtime the calling task runs on, since it was
+/// built. Panics outside `Runtime::block_on`.
+#[doc(hidden)]
+pub fn metrics() -> RuntimeMetrics {
+    crate::rt::current().metrics()
+}
