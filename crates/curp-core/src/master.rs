@@ -77,30 +77,40 @@ pub struct MasterConfig {
     pub sync_retry_limit: u32,
     /// Delay between sync retry attempts.
     pub sync_retry_backoff: Duration,
-    /// Synchronous mode: replicate to backups before *every* response — the
-    /// paper's "Original RAMCloud" baseline (no speculation at all).
-    pub sync_every_op: bool,
-    /// Group-commit window: a sync round waits this long before snapshotting
-    /// so that concurrently arriving operations share the round. Models the
-    /// Redis event loop, which serves every ready socket and then fsyncs
-    /// once (§C.2). Zero disables coalescing.
-    pub sync_coalesce: Duration,
-    /// In `sync_every_op` mode, how many worker threads may replicate their
-    /// requests concurrently (RAMCloud workers poll on their own syncs; the
-    /// dispatch thread is the shared bottleneck — §4.4).
-    pub sync_workers: usize,
-    /// In `sync_every_op` mode, whether concurrent requests share replication
-    /// rounds (group commit). `false` reproduces original RAMCloud (each
-    /// write replicates itself: 4 RPCs per request); `true` reproduces
-    /// durable Redis, whose event loop batches one fsync across all ready
-    /// clients (§C.2).
-    pub sync_group_commit: bool,
+    /// When an update's entry reaches the backups relative to its response.
+    pub replication: Replication,
     /// Execution-engine construction: shard count plus an optional
     /// larger-than-memory run tier. Single-key operations lock exactly one
     /// shard; commuting operations on different shards execute without
     /// contending.
     pub store: StoreConfig,
 }
+
+/// How a master replicates updates to its backups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replication {
+    /// CURP: a commuting update is answered before it is replicated, and
+    /// the background syncer batches the pending tail to the backups.
+    Speculative,
+    /// The paper's "Original RAMCloud" baseline: every update replicates
+    /// itself to every backup before its response (4 RPCs per write, §4.4),
+    /// with no batching across clients. At most `REPLICATION_WORKERS`
+    /// requests replicate at once.
+    PerRequest,
+    /// Durable Redis (§C.2): every update waits for a shared sync round
+    /// before its response, so concurrent requests share one round.
+    GroupCommit {
+        /// How long a round waits before snapshotting, so that operations
+        /// arriving meanwhile join it: one event-loop iteration's worth of
+        /// ready clients before the shared fsync.
+        gather: Duration,
+    },
+}
+
+/// Per-request replications in flight at once under
+/// [`Replication::PerRequest`]. RAMCloud's workers each poll on their own
+/// replication, while the dispatch thread is the shared bottleneck (§4.4).
+const REPLICATION_WORKERS: usize = 4;
 
 impl Default for MasterConfig {
     fn default() -> Self {
@@ -112,10 +122,7 @@ impl Default for MasterConfig {
             hotkey_window: 50,
             sync_retry_limit: 10,
             sync_retry_backoff: Duration::from_millis(5),
-            sync_every_op: false,
-            sync_coalesce: Duration::ZERO,
-            sync_workers: 4,
-            sync_group_commit: false,
+            replication: Replication::Speculative,
             store: StoreConfig::default(),
         }
     }
@@ -212,7 +219,7 @@ pub struct Master {
     /// this to return as soon as *their* entry is durable (group commit),
     /// instead of taking a turn flushing other clients' entries.
     synced_tx: watch::Sender<u64>,
-    /// Limits concurrent per-request replications in `sync_every_op` mode.
+    /// Limits concurrent per-request replications (`REPLICATION_WORKERS`).
     repl_slots: Arc<tokio::sync::Semaphore>,
     /// Statistics.
     pub stats: MasterStats,
@@ -262,7 +269,6 @@ impl Master {
         rifl: RiflTable,
         next_seq: u64,
     ) -> Arc<Master> {
-        let sync_workers = cfg.sync_workers.max(1);
         Arc::new(Master {
             id: seed.id,
             cfg,
@@ -293,7 +299,7 @@ impl Master {
             sync_lock: tokio::sync::Mutex::new(()),
             sync_notify: Notify::new(),
             synced_tx: watch::channel(0u64).0,
-            repl_slots: Arc::new(tokio::sync::Semaphore::new(sync_workers)),
+            repl_slots: Arc::new(tokio::sync::Semaphore::new(REPLICATION_WORKERS)),
             stats: MasterStats::default(),
         })
     }
@@ -315,9 +321,9 @@ impl Master {
                 if master.is_sealed() {
                     return;
                 }
-                if master.cfg.sync_every_op && !master.cfg.sync_group_commit {
-                    // Per-request replication mode: every write replicates
-                    // itself; an interval round would race the per-op path.
+                if master.cfg.replication == Replication::PerRequest {
+                    // Every write replicates itself; an interval round would
+                    // race the per-op path.
                     continue;
                 }
                 let _ = master.sync().await;
@@ -421,7 +427,7 @@ impl Master {
         // is computed outside every lock).
         let footprint = op.key_hashes();
         let shard_set = self.shard_set_for(&footprint);
-        let self_repl = self.cfg.sync_every_op && !self.cfg.sync_group_commit;
+        let self_repl = self.cfg.replication == Replication::PerRequest;
         let (result, must_sync, repl_entry) = {
             // Lock-time readiness: a tiered engine promotes the op's cold
             // keys here, so the commute check and execute below see exactly
@@ -467,8 +473,8 @@ impl Master {
             // §3.2.3: an operation touching any unsynced object must not be
             // externalized before a sync. Routing reuses the footprint —
             // nothing re-hashes a key under the shard lock.
-            let conflict =
-                guards.touches_unsynced_routed(&op, &footprint) || self.cfg.sync_every_op;
+            let conflict = guards.touches_unsynced_routed(&op, &footprint)
+                || self.cfg.replication != Replication::Speculative;
             let result = guards.execute_routed(&op, &footprint);
             let mutated = !matches!(result, OpResult::ConditionFailed { .. } | OpResult::WrongType);
             // Every update gets a log entry — including failed conditionals:
@@ -654,9 +660,10 @@ impl Master {
         }
     }
 
-    /// Synchronous per-request replication (`sync_every_op` mode): sends
-    /// this entry alone to every backup, bounded by the worker semaphore.
-    /// Backups buffer out-of-order arrivals, so concurrent workers are safe.
+    /// Synchronous per-request replication ([`Replication::PerRequest`]):
+    /// sends this entry alone to every backup, bounded by the worker
+    /// semaphore. Backups buffer out-of-order arrivals, so concurrent
+    /// workers are safe.
     /// `home_shard` is the entry's pending-tail shard (lowest shard of its
     /// footprint), passed in by the caller so this path never re-hashes the
     /// op's keys.
@@ -728,8 +735,8 @@ impl Master {
     /// the global log. The expensive part — replication RPCs — runs with
     /// all locks released.
     async fn sync_round(self: &Arc<Self>, _guard: tokio::sync::MutexGuard<'_, ()>) -> bool {
-        if !self.cfg.sync_coalesce.is_zero() {
-            tokio::time::sleep(self.cfg.sync_coalesce).await;
+        if let Replication::GroupCommit { gather } = self.cfg.replication {
+            tokio::time::sleep(gather).await;
         }
         let (entries, pos_target, epoch, backups) = {
             let mut guards = self.store.lock_all_for(None);
@@ -784,7 +791,7 @@ impl Master {
 
         // Commit the sync locally and compute the witness gc set. The
         // frontier is clamped: a concurrent per-request replication
-        // (`sync_every_op` mode) may already have advanced it further.
+        // (`Replication::PerRequest`) may already have advanced it further.
         let (gc_pairs, witnesses) = {
             let mut guards = self.store.lock_all_for(None);
             let target = pos_target.max(self.store.synced_pos());

@@ -188,9 +188,6 @@ impl CurpServer {
             Request::GetConfig | Request::AcquireLease | Request::RenewLease { .. } => {
                 Response::Retry { reason: "not the coordinator".into() }
             }
-            Request::Consensus { .. } => {
-                Response::Retry { reason: "not a consensus replica".into() }
-            }
             // Both transports unwrap batch frames before the handler (one
             // inner dispatch per request); a raw Batch reaching a server
             // means a transport that does not understand them.

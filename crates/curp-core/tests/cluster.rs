@@ -9,7 +9,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use curp_core::client::{ClientConfig, CurpClient, PipelineConfig, PipelinedClient};
 use curp_core::coordinator::Coordinator;
-use curp_core::master::MasterConfig;
+use curp_core::master::{MasterConfig, Replication};
 use curp_core::server::{CurpServer, ServerHandler};
 use curp_proto::cluster::HashRange;
 use curp_proto::message::{Request, Response};
@@ -396,7 +396,7 @@ async fn unreplicated_f0_still_works() {
 
 #[tokio::test(start_paused = true)]
 async fn sync_every_op_mode_always_responds_synced() {
-    let cfg = MasterConfig { sync_every_op: true, ..lazy_cfg() };
+    let cfg = MasterConfig { replication: Replication::PerRequest, ..lazy_cfg() };
     let cluster = TestCluster::new(3, cfg).await;
     let client = cluster.client().await;
     for i in 0..5 {

@@ -37,10 +37,10 @@ impl RecordedRequest {
     /// Checks the cached footprint against the op (DESIGN.md invariant 1).
     ///
     /// The single definition of footprint honesty: every replay trust
-    /// boundary (a master or consensus leader about to re-execute a
-    /// witness-recorded request) must drop requests failing this check —
-    /// their footprint claims keys the op does not touch, so the witness's
-    /// mutual-commutativity guarantee does not cover them.
+    /// boundary (a master about to re-execute a witness-recorded request)
+    /// must drop requests failing this check — their footprint claims keys
+    /// the op does not touch, so the witness's mutual-commutativity
+    /// guarantee does not cover them.
     pub fn footprint_matches_op(&self) -> bool {
         self.key_hashes == self.op.key_hashes()
     }
@@ -246,15 +246,6 @@ pub enum Request {
         master_id: MasterId,
     },
 
-    // ---- consensus (Appendix A.2) -------------------------------------------
-    /// An opaque consensus-protocol message (`curp-consensus` defines the
-    /// payload codec). Tunneled so the consensus extension shares the
-    /// transport without widening the core protocol surface.
-    Consensus {
-        /// Encoded consensus message.
-        payload: Bytes,
-    },
-
     // ---- any -> any (transport batching) -----------------------------------
     /// A batch of independent requests flushed as one frame (one transport
     /// write, one dispatch charge per direction). Each inner request keeps
@@ -378,12 +369,6 @@ pub enum Response {
         ttl_ms: u64,
     },
 
-    /// An opaque consensus-protocol reply (see [`Request::Consensus`]).
-    Consensus {
-        /// Encoded consensus reply.
-        payload: Bytes,
-    },
-
     /// Positional answers to a [`Request::Batch`]: `responses[i]` answers
     /// `requests[i]` regardless of handler completion order.
     Batch {
@@ -405,7 +390,8 @@ macro_rules! tags {
 }
 
 // Retired, never to be reused: request tags 4 and 11 and response tags 7
-// and 14 carried the §A.1 backup-read probe. They now decode as unknown.
+// and 14 carried the §A.1 backup-read probe; request and response tag 22
+// carried the §A.2 consensus tunnel. They now decode as unknown.
 tags! {
     REQ_CLIENT_UPDATE = 0,
     REQ_CLIENT_READ = 1,
@@ -424,7 +410,6 @@ tags! {
     REQ_GET_CONFIG = 15,
     REQ_ACQUIRE_LEASE = 16,
     REQ_RENEW_LEASE = 17,
-    REQ_CONSENSUS = 22,
     REQ_BATCH = 23,
     REQ_M_LOAD = 24,
 }
@@ -503,10 +488,6 @@ impl Encode for Request {
                 buf.put_u8(REQ_M_LOAD);
                 master_id.encode(buf);
             }
-            Request::Consensus { payload } => {
-                buf.put_u8(REQ_CONSENSUS);
-                payload.encode(buf);
-            }
             Request::Batch { requests } => {
                 buf.put_u8(REQ_BATCH);
                 encode_seq(requests, buf);
@@ -557,7 +538,6 @@ impl Encode for Request {
             Request::MasterClientExpired { client } => client.encoded_len(),
             Request::MasterLoadStats { master_id } => master_id.encoded_len(),
             Request::RenewLease { client } => client.encoded_len(),
-            Request::Consensus { payload } => payload.encoded_len(),
             Request::Batch { requests } => seq_encoded_len(requests),
         }
     }
@@ -605,7 +585,6 @@ impl Decode for Request {
             },
             REQ_M_EXPIRED => Request::MasterClientExpired { client: ClientId::decode(buf)? },
             REQ_M_LOAD => Request::MasterLoadStats { master_id: MasterId::decode(buf)? },
-            REQ_CONSENSUS => Request::Consensus { payload: Bytes::decode(buf)? },
             REQ_BATCH => {
                 let requests: Vec<Request> = decode_seq(buf)?;
                 // Batches never nest; bounding the recursion depth here keeps
@@ -644,7 +623,6 @@ tags! {
     RSP_LEASE = 19,
     RSP_RETRY = 20,
     RSP_B_INSTALLED = 21,
-    RSP_CONSENSUS = 22,
     RSP_BATCH = 23,
     RSP_LOAD_STATS = 24,
 }
@@ -713,10 +691,6 @@ impl Encode for Response {
                 buf.put_u8(RSP_RETRY);
                 reason.encode(buf);
             }
-            Response::Consensus { payload } => {
-                buf.put_u8(RSP_CONSENSUS);
-                payload.encode(buf);
-            }
             Response::Batch { responses } => {
                 buf.put_u8(RSP_BATCH);
                 encode_seq(responses, buf);
@@ -751,7 +725,6 @@ impl Encode for Response {
             Response::Config { config } => config.encoded_len(),
             Response::Lease { client, ttl_ms } => client.encoded_len() + ttl_ms.encoded_len(),
             Response::Retry { reason } => reason.encoded_len(),
-            Response::Consensus { payload } => payload.encoded_len(),
             Response::Batch { responses } => seq_encoded_len(responses),
         }
     }
@@ -793,7 +766,6 @@ impl Decode for Response {
                 Response::Lease { client: ClientId::decode(buf)?, ttl_ms: u64::decode(buf)? }
             }
             RSP_RETRY => Response::Retry { reason: String::decode(buf)? },
-            RSP_CONSENSUS => Response::Consensus { payload: Bytes::decode(buf)? },
             RSP_BATCH => {
                 let responses: Vec<Response> = decode_seq(buf)?;
                 if responses.iter().any(|r| matches!(r, Response::Batch { .. })) {
@@ -902,7 +874,6 @@ mod tests {
             },
             Request::MasterClientExpired { client: ClientId(9) },
             Request::MasterLoadStats { master_id: MasterId(3) },
-            Request::Consensus { payload: b("raft-bytes") },
             Request::Batch {
                 requests: vec![
                     Request::ClientUpdate {
@@ -965,7 +936,6 @@ mod tests {
             },
             Response::Lease { client: ClientId(4), ttl_ms: 30_000 },
             Response::Retry { reason: "busy".into() },
-            Response::Consensus { payload: b("raft-reply") },
             Response::Batch {
                 responses: vec![
                     Response::Update { result: OpResult::Written { version: 1 }, synced: false },
@@ -1008,11 +978,13 @@ mod tests {
 
     #[test]
     fn retired_tags_rejected() {
-        // A well-formed old payload behind a retired tag must not decode.
-        let payload = Request::Sync { master_id: MasterId(3) }.to_bytes();
-        for tag in [4u8, 11] {
-            let mut frame = payload.to_vec();
-            frame[0] = tag;
+        // A well-formed old body behind a retired tag must not decode.
+        let probe = Request::Sync { master_id: MasterId(3) }.to_bytes()[1..].to_vec();
+        let flag = vec![1u8];
+        // Tag 22 carried the consensus tunnel: one length-prefixed payload.
+        let tunnel = b("raft-bytes").to_bytes().to_vec();
+        for (tag, body) in [(4u8, &probe), (11, &probe), (22, &tunnel)] {
+            let frame = [&[tag][..], body].concat();
             assert!(
                 matches!(
                     Request::from_bytes(&frame),
@@ -1021,10 +993,11 @@ mod tests {
                 "request tag {tag} is retired"
             );
         }
-        for tag in [7u8, 14] {
+        for (tag, body) in [(7u8, &flag), (14, &flag), (22, &tunnel)] {
+            let frame = [&[tag][..], body].concat();
             assert!(
                 matches!(
-                    Response::from_bytes(&[tag, 1]),
+                    Response::from_bytes(&frame),
                     Err(DecodeError::InvalidTag { ty: "Response", tag: t }) if t == tag
                 ),
                 "response tag {tag} is retired"

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use curp_core::client::{ClientConfig, CurpClient, PipelineConfig, PipelinedClient};
 use curp_core::coordinator::{Coordinator, CoordinatorHandler};
-use curp_core::master::MasterConfig;
+use curp_core::master::{MasterConfig, Replication};
 use curp_core::server::{CurpServer, ServerHandler};
 use curp_proto::cluster::HashRange;
 use curp_proto::op::Op;
@@ -205,10 +205,11 @@ impl SimCluster {
             hotkey_window: params.batch_size as u64,
             sync_retry_limit: 10,
             sync_retry_backoff: vus(100),
-            sync_every_op: mode == Mode::Original,
-            sync_coalesce: Duration::ZERO,
-            sync_workers: 4,
-            sync_group_commit: false,
+            replication: if mode == Mode::Original {
+                Replication::PerRequest
+            } else {
+                Replication::Speculative
+            },
             ..MasterConfig::default()
         };
         let net_for_factory = net.clone();

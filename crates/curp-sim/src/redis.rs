@@ -15,8 +15,8 @@
 //!
 //! The append-only file is modeled as a *local* backup (zero network
 //! latency) whose sync handler sleeps for the fsync duration. "Original
-//! Redis (durable)" is the master in `sync_every_op` mode against that
-//! backup; "CURP (k witnesses)" keeps the backup asynchronous and adds
+//! Redis (durable)" is the master in `Replication::GroupCommit` mode against
+//! that backup; "CURP (k witnesses)" keeps the backup asynchronous and adds
 //! witness servers.
 
 use std::sync::Arc;
@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use curp_core::client::{ClientConfig, CurpClient};
 use curp_core::coordinator::{Coordinator, CoordinatorHandler};
-use curp_core::master::MasterConfig;
+use curp_core::master::{MasterConfig, Replication};
 use curp_core::server::{CurpServer, ServerHandler};
 use curp_proto::cluster::HashRange;
 use curp_proto::message::{Request, Response};
@@ -144,12 +144,13 @@ impl RedisSim {
             hotkey_window: 64,
             sync_retry_limit: 10,
             sync_retry_backoff: vus(100),
-            sync_every_op: mode == RedisMode::Durable,
             // One event-loop iteration's worth of request gathering before
             // the shared fsync (§C.2), amortizing it across ready clients.
-            sync_coalesce: if mode == RedisMode::Durable { vus(25) } else { Duration::ZERO },
-            sync_workers: 1, // Redis is single-threaded
-            sync_group_commit: true,
+            replication: if mode == RedisMode::Durable {
+                Replication::GroupCommit { gather: vus(25) }
+            } else {
+                Replication::Speculative
+            },
             // Redis is single-threaded: one shard reproduces its serialized
             // command loop faithfully in the model.
             store: curp_storage::StoreConfig::memory(1),

@@ -68,11 +68,9 @@
 //! | [`rifl`] | exactly-once RPC semantics (leases, completion records) |
 //! | [`witness`] | the set-associative witness cache and server |
 //! | [`core`] | master, backup, client, coordinator, recovery |
-//! | [`consensus`] | the §A.2 consensus extension (Raft-style + witnesses) |
 //! | [`sim`] | calibrated cluster models and the linearizability checker |
 //! | [`workload`] | YCSB/Zipfian generators, latency recorders, and the open-loop load driver |
 
-pub use curp_consensus as consensus;
 pub use curp_core as core;
 pub use curp_proto as proto;
 pub use curp_rifl as rifl;
