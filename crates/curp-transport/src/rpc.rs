@@ -7,6 +7,7 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
+use std::task::Poll;
 
 use curp_proto::message::{Request, Response};
 use curp_proto::types::ServerId;
@@ -36,14 +37,50 @@ where
 /// one [`Response::Batch`] reply stays in request order however the
 /// handlers' completions interleave. Any other request goes straight to the
 /// handler.
-pub(crate) async fn dispatch(handler: &SharedHandler, from: ServerId, req: Request) -> Response {
+///
+/// The inner handlers run in the task that polls the returned future: each
+/// is polled in place, and only those that suspend stay pending, so a batch
+/// whose handlers all complete at once is answered on its first poll.
+pub(crate) fn dispatch(
+    handler: &SharedHandler,
+    from: ServerId,
+    req: Request,
+) -> BoxFuture<'static, Response> {
     match req {
         Request::Batch { requests } => {
-            let futs: Vec<_> = requests.into_iter().map(|r| handler.handle(from, r)).collect();
-            Response::Batch { responses: join_all(futs).await }
+            let mut slots: Vec<Slot> =
+                requests.into_iter().map(|r| Slot::Pending(handler.handle(from, r))).collect();
+            Box::pin(std::future::poll_fn(move |cx| {
+                let mut done = true;
+                for slot in &mut slots {
+                    if let Slot::Pending(fut) = slot {
+                        match fut.as_mut().poll(cx) {
+                            Poll::Ready(rsp) => *slot = Slot::Done(rsp),
+                            Poll::Pending => done = false,
+                        }
+                    }
+                }
+                if !done {
+                    return Poll::Pending;
+                }
+                let responses = slots
+                    .drain(..)
+                    .map(|slot| match slot {
+                        Slot::Done(rsp) => rsp,
+                        Slot::Pending(_) => unreachable!("every inner handler has completed"),
+                    })
+                    .collect();
+                Poll::Ready(Response::Batch { responses })
+            }))
         }
-        req => handler.handle(from, req).await,
+        req => handler.handle(from, req),
     }
+}
+
+/// One inner request of a batch being dispatched.
+enum Slot {
+    Pending(BoxFuture<'static, Response>),
+    Done(Response),
 }
 
 /// Client side of a batch, shared by every transport that overrides

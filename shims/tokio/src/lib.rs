@@ -20,7 +20,8 @@
 //!   cores, polls its epoll without sleeping for up to 50 µs before it
 //!   parks, so it uses CPU while it waits for a reply; paused runtimes and
 //!   runtimes without sockets never do. `runtime::metrics()` (hidden) counts
-//!   parks, `eventfd` unparks, spins and `WouldBlock` results per runtime.
+//!   parks, `eventfd` unparks, spins, `WouldBlock` results, task spawns,
+//!   task polls and timers armed per runtime.
 
 pub mod io;
 pub mod net;

@@ -11,16 +11,17 @@
 //! stream share one socket and its registration.
 //!
 //! Each direction of a socket keeps a waker slot and a readiness word,
-//! `(edges << 1) | ready`, as tokio's `ScheduledIo` does. The ready bit
-//! starts set ("try the socket"). An edge for the direction bumps the edge
-//! count, sets the bit and wakes the slot's waker. An operation runs only
-//! while the bit is set. `WouldBlock` clears it, and so does a short read
-//! or write: under `EPOLLET` that means the kernel buffer was drained (or
-//! filled), and any later change raises a new edge. The clear is a
-//! compare-and-swap against the word read before the operation, so an edge
-//! that landed meanwhile is never lost. A task that finds the bit clear
-//! stores its waker, registers, and looks at the bit once more; it parks
-//! without a syscall.
+//! `(edges << 2) | closed | ready`, as tokio's `ScheduledIo` does. The
+//! ready bit starts set ("try the socket"). An edge for the direction bumps
+//! the edge count, sets the bit and wakes the slot's waker. An operation
+//! runs only while the bit is set. `WouldBlock` clears it, and so does a
+//! short read or write: under `EPOLLET` that means the kernel buffer was
+//! drained (or filled), and any later change raises a new edge. The clear
+//! is a compare-and-swap against the word read before the operation, so an
+//! edge that landed meanwhile is never lost. An edge that reports a
+//! hang-up or an error also sets the closed bit, and then nothing clears
+//! the ready bit again. A task that finds the bit clear stores its waker,
+//! registers, and looks at the bit once more; it parks without a syscall.
 //!
 //! The `eventfd` is how a waker on another thread rouses an executor parked
 //! in its epoll; it is written only when the executor is parked.
@@ -116,13 +117,21 @@ fn owned_fd(fd: i32) -> io::Result<OwnedFd> {
     Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
-/// The ready bit of a [`Direction`]'s word; the bits above count edges.
+/// The ready bit of a [`Direction`]'s word.
 const READY: u64 = 1;
+/// The closed bit: the peer hung up (or the socket failed) in this
+/// direction, so no operation on it can block again, and the ready bit
+/// stays set. A hang-up that lands with the last bytes raises no edge after
+/// the short read that takes them, so without this bit that read would
+/// clear the ready bit and the end of file would never be seen.
+const CLOSED: u64 = 2;
+/// One edge in the count held by the bits above `CLOSED`.
+const EDGE: u64 = 4;
 
 /// One direction of a socket: the waker parked on it and its readiness.
 struct Direction {
     waker: Mutex<Option<Waker>>,
-    /// `(edges << 1) | READY`. The word publishes no memory (the bytes are
+    /// `(edges << 2) | CLOSED | READY`. The word publishes no memory (the bytes are
     /// the kernel's). An edge against a parking task is ordered by the
     /// `waker` mutex: the reactor takes it after its update, the task
     /// between storing its waker and its re-check, so one of the two sees
@@ -137,10 +146,12 @@ impl Default for Direction {
 }
 
 impl Direction {
-    /// Records an edge and wakes the parked waker.
-    fn edge(&self) {
+    /// Records an edge, with the hang-up it reports if `closed`, and wakes
+    /// the parked waker.
+    fn edge(&self, closed: bool) {
+        let set = if closed { READY | CLOSED } else { READY };
         let _ = self.ready.fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
-            Some((word | READY).wrapping_add(2))
+            Some((word | set).wrapping_add(EDGE))
         });
         let waker = lock(&self.waker).take();
         if let Some(waker) = waker {
@@ -148,8 +159,12 @@ impl Direction {
         }
     }
 
-    /// Clears the ready bit unless an edge has landed since `seen` was read.
+    /// Clears the ready bit unless an edge has landed since `seen` was read
+    /// or the direction is closed.
     fn clear(&self, seen: u64) {
+        if seen & CLOSED != 0 {
+            return;
+        }
         let _ =
             self.ready.compare_exchange(seen, seen & !READY, Ordering::AcqRel, Ordering::Acquire);
     }
@@ -219,11 +234,12 @@ impl Reactor {
             }
             let slots = lock(&self.sources).get(&token).and_then(Weak::upgrade);
             let Some(slots) = slots else { continue };
-            if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
-                slots.read.edge();
+            let (hup, failed) = (bits & (EPOLLRDHUP | EPOLLHUP), bits & (EPOLLHUP | EPOLLERR));
+            if bits & EPOLLIN != 0 || hup | failed != 0 {
+                slots.read.edge(hup | failed != 0);
             }
-            if bits & (EPOLLOUT | EPOLLHUP | EPOLLERR) != 0 {
-                slots.write.edge();
+            if bits & EPOLLOUT != 0 || failed != 0 {
+                slots.write.edge(failed != 0);
             }
         }
     }

@@ -106,6 +106,9 @@ pub(crate) struct Counters {
     spins: AtomicU64,
     spin_wins: AtomicU64,
     would_block: AtomicU64,
+    tasks_spawned: AtomicU64,
+    task_polls: AtomicU64,
+    timers_armed: AtomicU64,
 }
 
 fn bump(counter: &AtomicU64) {
@@ -146,6 +149,9 @@ impl Core {
             spins: get(&c.spins),
             spin_wins: get(&c.spin_wins),
             would_block: get(&c.would_block),
+            tasks_spawned: get(&c.tasks_spawned),
+            task_polls: get(&c.task_polls),
+            timers_armed: get(&c.timers_armed),
         }
     }
 
@@ -189,6 +195,7 @@ impl Core {
     }
 
     pub(crate) fn register_timer(&self, deadline: Duration, waker: Waker) {
+        bump(&self.counters.timers_armed);
         let mut st = self.state.lock().unwrap();
         st.timer_seq += 1;
         let seq = st.timer_seq;
@@ -269,6 +276,7 @@ impl Core {
             // 1. Poll the main future whenever it has been woken.
             if main_woken.flag.swap(false, Ordering::AcqRel) {
                 io_looked = false;
+                bump(&self.counters.task_polls);
                 if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
                     return v;
                 }
@@ -278,7 +286,9 @@ impl Core {
             //    POLLS_PER_IO_LOOK polls.
             let task = self.state.lock().unwrap().ready.pop_front();
             if let Some(task) = task {
-                task.run();
+                if task.run() {
+                    bump(&self.counters.task_polls);
+                }
                 io_looked = false;
                 polls_since_io_look += 1;
                 if polls_since_io_look == POLLS_PER_IO_LOOK {
@@ -389,16 +399,18 @@ pub(crate) struct Task {
 }
 
 impl Task {
-    fn run(self: Arc<Self>) {
+    /// Polls the task's future; false if it had already completed.
+    fn run(self: Arc<Self>) -> bool {
         self.queued.store(false, Ordering::Release);
         let mut slot = self.fut.lock().unwrap();
-        let Some(mut fut) = slot.take() else { return };
+        let Some(mut fut) = slot.take() else { return false };
         drop(slot); // the future may re-entrantly wake itself
         let waker = Waker::from(Arc::clone(&self));
         let mut cx = Context::from_waker(&waker);
         if fut.as_mut().poll(&mut cx).is_pending() {
             *self.fut.lock().unwrap() = Some(fut);
         }
+        true
     }
 }
 
@@ -416,6 +428,7 @@ impl Wake for Task {
 /// Spawns `fut` onto the current runtime (must be inside `block_on`).
 pub(crate) fn spawn_on_current(fut: Pin<Box<dyn Future<Output = ()> + Send>>) {
     let core = current();
+    bump(&core.counters.tasks_spawned);
     let task = Arc::new(Task {
         fut: Mutex::new(Some(fut)),
         core: Arc::downgrade(&core),

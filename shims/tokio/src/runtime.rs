@@ -87,6 +87,14 @@ pub struct RuntimeMetrics {
     pub spin_wins: u64,
     /// Socket operations that returned `WouldBlock`.
     pub would_block: u64,
+    /// Tasks spawned.
+    pub tasks_spawned: u64,
+    /// Polls of spawned tasks and of the `block_on` future (a wake of a
+    /// task that has already completed polls nothing and is not counted).
+    pub task_polls: u64,
+    /// Timer heap entries pushed: one per `Sleep` per waker it was
+    /// polled with.
+    pub timers_armed: u64,
 }
 
 /// The counts between two snapshots of one runtime.
@@ -100,6 +108,9 @@ impl std::ops::Sub for RuntimeMetrics {
             spins: self.spins - before.spins,
             spin_wins: self.spin_wins - before.spin_wins,
             would_block: self.would_block - before.would_block,
+            tasks_spawned: self.tasks_spawned - before.tasks_spawned,
+            task_polls: self.task_polls - before.task_polls,
+            timers_armed: self.timers_armed - before.timers_armed,
         }
     }
 }

@@ -58,6 +58,26 @@ fn a_large_peer_write_is_read_in_full_through_a_small_buffer() {
 }
 
 #[test]
+fn a_close_that_lands_with_the_last_bytes_is_read_as_end_of_file() {
+    runtime().block_on(async {
+        let (stream, mut peer) = std_peer().await;
+        let (mut rd, _wr) = stream.into_split();
+        let mut buf = [0u8; 64];
+        // Park on an empty socket: the ready bit is now clear.
+        assert!(timeout(Duration::from_millis(1), rd.read(&mut buf)).await.is_err());
+        // The bytes and the hang-up land before the reactor next looks, so
+        // one edge reports both, and the short read that takes the bytes
+        // must not hide the end of file.
+        peer.write_all(b"ping").unwrap();
+        drop(peer);
+        let n = timeout(WAKE, rd.read(&mut buf)).await.expect("read woke").unwrap();
+        assert_eq!(&buf[..n], b"ping");
+        let n = timeout(WAKE, rd.read(&mut buf)).await.expect("end of file seen").unwrap();
+        assert_eq!(n, 0);
+    });
+}
+
+#[test]
 fn a_large_write_to_a_slow_peer_completes_in_full() {
     // Larger than loopback's socket buffers, so the writer meets a full
     // send buffer, writes short and must be woken by the space freed later.
