@@ -57,7 +57,7 @@ use bytes::{Buf, Bytes};
 use curp_proto::lockrank;
 use curp_proto::message::{LogEntry, Request, Response};
 use curp_proto::op::{Op, OpResult};
-use curp_proto::types::{Epoch, KeyHash, MasterId};
+use curp_proto::types::{ClientId, Epoch, KeyHash, MasterId};
 use curp_rifl::RiflTable;
 use curp_storage::{Aof, AtomicFile, FsyncPolicy, StateStore, StoreConfig, SyncLevel};
 use parking_lot::Mutex;
@@ -144,6 +144,10 @@ struct Replica {
     /// replicate entries from several worker threads concurrently, so a
     /// later entry can arrive first; it is buffered, not rejected).
     reorder: std::collections::BTreeMap<u64, LogEntry>,
+    /// RIFL ack watermarks of rounds whose entries are still in `reorder`,
+    /// each with the round's last seq: they apply once `next_seq` passes it
+    /// (see [`BackupService::sync`]).
+    held_acks: Vec<(u64, Vec<(ClientId, u64)>)>,
     /// Write-ahead log handle (`None` on a memory-only service).
     aof: Option<Aof>,
     /// Set after a persistence failure: the on-disk suffix is unknown, so
@@ -190,6 +194,7 @@ impl Replica {
             next_seq,
             epoch,
             reorder: std::collections::BTreeMap::new(),
+            held_acks: Vec::new(),
             aof,
             wedged: false,
             base,
@@ -208,6 +213,12 @@ impl Replica {
         }
         self.next_seq += 1;
         self.since_maint += 1;
+    }
+
+    fn apply_acks(&mut self, acks: &[(ClientId, u64)]) {
+        for &(client, first_incomplete) in acks {
+            self.rifl.ack(client, first_incomplete);
+        }
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -290,6 +301,9 @@ pub struct BackupFootprint {
     /// Payload bytes of the live replica state: keys + encoded objects +
     /// dead-version memory, wherever the engine keeps them.
     pub state_bytes: u64,
+    /// Live RIFL completion records: those the clients have not yet
+    /// acknowledged, so bounded by the writes in flight, not the op count.
+    pub rifl_records: u64,
 }
 
 /// A backup server hosting one replica per master.
@@ -389,7 +403,22 @@ impl BackupService {
     ///   and fsynced **before** being applied: an `Applied` ack implies the
     ///   covering fsync happened (DESIGN.md invariant 7). A failed append
     ///   wedges the replica — fail-stop, never an unbacked ack.
-    pub fn sync(&self, master: MasterId, epoch: Epoch, entries: &[LogEntry]) -> SyncOutcome {
+    /// * `acks` are the master's RIFL watermarks `(client, first_incomplete)`
+    ///   that moved since its last successful round; they drop the
+    ///   completion records below them. The master reads them no later
+    ///   than it assigns the round's last seq, so every RPC an ack covers
+    ///   has an entry at or below it. They apply once this replica's
+    ///   applied prefix passes that seq (at once, unless the round is
+    ///   buffered behind a gap): an ack then drops only records this
+    ///   replica holds, and a recovery that replays a covered RPC from a
+    ///   witness finds its effect already here and its retry `Stale`.
+    pub fn sync(
+        &self,
+        master: MasterId,
+        epoch: Epoch,
+        entries: &[LogEntry],
+        acks: &[(ClientId, u64)],
+    ) -> SyncOutcome {
         let mut replicas = self.replicas.lock();
         let replica = match Self::replica_entry(
             self.dir.as_deref(),
@@ -449,6 +478,22 @@ impl BackupService {
         }
         for e in ready {
             replica.apply(e);
+        }
+        match entries.iter().map(|e| e.seq).max() {
+            Some(last) if last >= replica.next_seq && !acks.is_empty() => {
+                replica.held_acks.push((last, acks.to_vec()));
+            }
+            _ => replica.apply_acks(acks),
+        }
+        if !replica.held_acks.is_empty() && !ready.is_empty() {
+            let next_seq = replica.next_seq;
+            let (due, held) = std::mem::take(&mut replica.held_acks)
+                .into_iter()
+                .partition::<Vec<_>, _>(|(last, _)| *last < next_seq);
+            replica.held_acks = held;
+            for (_, acks) in due {
+                replica.apply_acks(&acks);
+            }
         }
         if replica.since_maint >= MAINT_EVERY {
             replica.since_maint = 0;
@@ -584,7 +629,8 @@ impl BackupService {
                 checkpoint_bytes += len(ckpt_path(dir, master, shard));
             }
         }
-        Some(BackupFootprint { aof_bytes, checkpoint_bytes, state_bytes })
+        let rifl_records = replica.rifl.record_count() as u64;
+        Some(BackupFootprint { aof_bytes, checkpoint_bytes, state_bytes, rifl_records })
     }
 
     /// Raises the fencing epoch for `master` (coordinator, pre-recovery §4.7).
@@ -932,8 +978,8 @@ impl BackupService {
     /// Dispatches a backup-directed [`Request`].
     pub fn handle_request(&self, req: &Request) -> Response {
         match req {
-            Request::BackupSync { master_id, epoch, entries } => {
-                match self.sync(*master_id, *epoch, entries) {
+            Request::BackupSync { master_id, epoch, entries, acks } => {
+                match self.sync(*master_id, *epoch, entries, acks) {
                     SyncOutcome::Applied { next_seq } => {
                         Response::BackupSynced { accepted: true, next_seq }
                     }
@@ -997,7 +1043,7 @@ mod tests {
     /// Legacy-shaped wrapper so the pre-`SyncOutcome` assertions read
     /// unchanged: `(accepted, next_seq)`.
     fn sync2(bs: &BackupService, m: MasterId, e: Epoch, entries: &[LogEntry]) -> (bool, u64) {
-        match bs.sync(m, e, entries) {
+        match bs.sync(m, e, entries, &[]) {
             SyncOutcome::Applied { next_seq } => (true, next_seq),
             SyncOutcome::Fenced { next_seq } => (false, next_seq),
             SyncOutcome::PersistFailed { error } => panic!("unexpected persist failure: {error}"),
@@ -1108,6 +1154,77 @@ mod tests {
         assert_eq!(replicas.get(&M).unwrap().rifl.record_count(), 2);
     }
 
+    fn rifl_of(bs: &BackupService) -> RiflTable {
+        bs.replicas.lock().get(&M).unwrap().rifl.clone()
+    }
+
+    fn rid(client: u64, seq: u64) -> RpcId {
+        RpcId::new(ClientId(client), seq)
+    }
+
+    #[test]
+    fn acks_drop_acknowledged_records() {
+        use curp_rifl::CheckResult;
+        let bs = BackupService::new();
+        // Entries 0..4 carry client 1's rpcs 1..4; the round's ack says the
+        // client holds the results of 1 and 2.
+        let round: Vec<LogEntry> = (0..4).map(|i| entry(i, "a", "v", i + 1)).collect();
+        assert!(matches!(
+            bs.sync(M, Epoch(0), &round, &[(ClientId(1), 3)]),
+            SyncOutcome::Applied { .. }
+        ));
+        assert_eq!(bs.footprint(M).unwrap().rifl_records, 2);
+        let rifl = rifl_of(&bs);
+        assert_eq!(rifl.check(rid(1, 2)), CheckResult::Stale);
+        assert_eq!(rifl.check(rid(1, 3)), CheckResult::Duplicate(OpResult::Written { version: 3 }));
+    }
+
+    #[test]
+    fn acks_of_a_buffered_round_wait_for_its_gap() {
+        use curp_rifl::CheckResult;
+        let bs = BackupService::new();
+        let late = |seq: u64, rpc: u64| LogEntry {
+            seq,
+            rpc_id: Some(rid(2, rpc)),
+            op: Op::Put { key: b("k"), value: b("v") },
+            result: OpResult::Written { version: seq + 1 },
+        };
+        // Reordered per-request rounds: entry 1 (rpc 2), carrying the ack of
+        // rpc 1, arrives before entry 0 (rpc 1) and is buffered. Its ack
+        // waits with it: applied now, it would mark rpc 1 done on a replica
+        // that does not hold rpc 1's effect.
+        let outcome = bs.sync(M, Epoch(0), &[late(1, 2)], &[(ClientId(2), 2)]);
+        assert_eq!(outcome, SyncOutcome::Applied { next_seq: 0 });
+        assert_eq!(rifl_of(&bs).check(rid(2, 1)), CheckResult::New);
+        // Entry 0 closes the gap: both entries apply, then the held ack.
+        let outcome = bs.sync(M, Epoch(0), &[late(0, 1)], &[]);
+        assert_eq!(outcome, SyncOutcome::Applied { next_seq: 2 });
+        let rifl = rifl_of(&bs);
+        assert_eq!(rifl.check(rid(2, 1)), CheckResult::Stale);
+        assert_eq!(rifl.record_count(), 1, "only rpc 2's record is left");
+        assert_eq!(bs.read(M, &Op::Get { key: b("k") }), Some(OpResult::Value(Some(b("v")))));
+    }
+
+    #[test]
+    fn lease_expiry_propagates_to_the_backup() {
+        use curp_rifl::CheckResult;
+        let bs = BackupService::new();
+        assert!(matches!(
+            bs.sync(M, Epoch(0), &[entry(0, "a", "1", 1)], &[]),
+            SyncOutcome::Applied { .. }
+        ));
+        // The master's expire_client watermark rides the next round.
+        let other = LogEntry { rpc_id: Some(rid(3, 1)), ..entry(1, "b", "1", 1) };
+        assert!(matches!(
+            bs.sync(M, Epoch(0), &[other], &[(ClientId(1), u64::MAX)]),
+            SyncOutcome::Applied { .. }
+        ));
+        let rifl = rifl_of(&bs);
+        assert_eq!(rifl.record_count(), 1, "only client 3's record is left");
+        assert_eq!(rifl.check(rid(1, 1)), CheckResult::Stale);
+        assert_eq!(rifl.check(rid(1, 99)), CheckResult::Stale);
+    }
+
     #[test]
     fn rpc_dispatch() {
         let bs = BackupService::new();
@@ -1115,6 +1232,7 @@ mod tests {
             master_id: M,
             epoch: Epoch(0),
             entries: vec![entry(0, "a", "1", 1)],
+            acks: Vec::new(),
         });
         assert_eq!(rsp, Response::BackupSynced { accepted: true, next_seq: 1 });
         match bs.handle_request(&Request::BackupFetch { master_id: M }) {

@@ -48,7 +48,7 @@ use curp_proto::footprint::{Footprint, ShardSet};
 use curp_proto::lockrank;
 use curp_proto::message::{LogEntry, RecordedRequest, Request, Response};
 use curp_proto::op::{Op, OpResult};
-use curp_proto::types::{Epoch, KeyHash, MasterId, RpcId, ServerId, WitnessListVersion};
+use curp_proto::types::{ClientId, Epoch, KeyHash, MasterId, RpcId, ServerId, WitnessListVersion};
 use curp_rifl::{CheckResult, RiflTable};
 use curp_storage::{StateStore, StoreConfig};
 use curp_transport::rpc::{join_all, RpcClient};
@@ -313,10 +313,16 @@ impl Master {
     pub fn spawn_syncer(self: &Arc<Self>) -> tokio::task::JoinHandle<()> {
         let master = Arc::clone(self);
         tokio::spawn(async move {
+            // One interval timer, re-armed only when it fires: a fresh sleep
+            // per round would leave a timer behind for every round a notify
+            // woke, each waking the syncer later for nothing.
+            let mut tick = std::pin::pin!(tokio::time::sleep(master.cfg.sync_interval));
             loop {
                 tokio::select! {
                     _ = master.sync_notify.notified() => {}
-                    _ = tokio::time::sleep(master.cfg.sync_interval) => {}
+                    _ = tick.as_mut() => {
+                        tick.set(tokio::time::sleep(master.cfg.sync_interval));
+                    }
                 }
                 if master.is_sealed() {
                     return;
@@ -448,7 +454,7 @@ impl Master {
                     return Response::NotOwner;
                 }
             }
-            {
+            let repl_acks = {
                 let mut rifl = self.rifl.lock();
                 rifl.ack(rpc_id.client, first_incomplete);
                 match rifl.check(rpc_id) {
@@ -469,7 +475,15 @@ impl Master {
                     }
                     CheckResult::New => {}
                 }
-            }
+                // A self-replicating entry carries the watermarks that moved
+                // so far. They are read before its seq is drawn, so every RPC
+                // they cover has a lower seq (see `BackupService::sync`).
+                if self_repl {
+                    rifl.take_moved_acks()
+                } else {
+                    Vec::new()
+                }
+            };
             // §3.2.3: an operation touching any unsynced object must not be
             // externalized before a sync. Routing reuses the footprint —
             // nothing re-hashes a key under the shard lock.
@@ -485,7 +499,7 @@ impl Master {
             let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
             let entry =
                 LogEntry { seq, rpc_id: Some(rpc_id), op: op.clone(), result: result.clone() };
-            let repl_entry = self_repl.then(|| entry.clone());
+            let repl_entry = self_repl.then(|| (entry.clone(), repl_acks));
             guards.ext_mut(shard_set[0]).pending.push(entry);
             self.pending_count.fetch_add(1, Ordering::SeqCst);
             self.rifl.lock().record(rpc_id, result.clone());
@@ -520,11 +534,11 @@ impl Master {
             }
             (result, conflict.then_some(seq), repl_entry)
         };
-        if let Some(entry) = repl_entry {
+        if let Some((entry, acks)) = repl_entry {
             // "Original" synchronous mode: this request replicates itself —
             // one replication RPC per backup per request, exactly the 4-RPCs-
             // per-write pattern §4.4 describes. No cross-client batching.
-            let synced = self.replicate_one(entry, shard_set[0]).await;
+            let synced = self.replicate_one(entry, acks, shard_set[0]).await;
             self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
             return Response::Update { result, synced };
         }
@@ -614,10 +628,7 @@ impl Master {
     }
 
     /// Handles a client lease expiry (§4.8): sync, then drop records.
-    pub async fn handle_client_expired(
-        self: &Arc<Self>,
-        client: curp_proto::types::ClientId,
-    ) -> Response {
+    pub async fn handle_client_expired(self: &Arc<Self>, client: ClientId) -> Response {
         if !self.sync().await {
             return Response::Retry { reason: "sync failed".into() };
         }
@@ -666,8 +677,14 @@ impl Master {
     /// workers are safe.
     /// `home_shard` is the entry's pending-tail shard (lowest shard of its
     /// footprint), passed in by the caller so this path never re-hashes the
-    /// op's keys.
-    async fn replicate_one(self: &Arc<Self>, entry: LogEntry, home_shard: usize) -> bool {
+    /// op's keys. `acks` are the RIFL watermarks read before the entry's seq
+    /// was drawn; a failed round hands them back for the next one.
+    async fn replicate_one(
+        self: &Arc<Self>,
+        entry: LogEntry,
+        acks: Vec<(ClientId, u64)>,
+        home_shard: usize,
+    ) -> bool {
         // lint: audited-unwrap — the semaphore lives in self and is never closed
         let permit = Arc::clone(&self.repl_slots).acquire_owned().await.expect("semaphore closed");
         let (epoch, backups) = {
@@ -682,7 +699,12 @@ impl Master {
         let calls = backups.iter().map(|&b| {
             self.rpc.call(
                 b,
-                Request::BackupSync { master_id: self.id, epoch, entries: vec![entry.clone()] },
+                Request::BackupSync {
+                    master_id: self.id,
+                    epoch,
+                    entries: vec![entry.clone()],
+                    acks: acks.clone(),
+                },
             )
         });
         let results = join_all(calls).await;
@@ -694,7 +716,10 @@ impl Master {
                     self.seal();
                     return false;
                 }
-                _ => return false,
+                _ => {
+                    self.rifl.lock().requeue_acks(&acks);
+                    return false;
+                }
             }
         }
         // Commit: drop the entry from its home shard's pending tail and
@@ -734,11 +759,17 @@ impl Master {
     /// pending tails and merging them by seq yields a contiguous tail of
     /// the global log. The expensive part — replication RPCs — runs with
     /// all locks released.
+    ///
+    /// The RIFL watermarks that moved since the last successful round ride
+    /// along, read under the same locks: every RPC an ack covers executed
+    /// before the update that carried it, so its entry is in this round or
+    /// an earlier one, and a backup applies the acks once it has applied
+    /// the round (see `BackupService::sync`).
     async fn sync_round(self: &Arc<Self>, _guard: tokio::sync::MutexGuard<'_, ()>) -> bool {
         if let Replication::GroupCommit { gather } = self.cfg.replication {
             tokio::time::sleep(gather).await;
         }
-        let (entries, pos_target, epoch, backups) = {
+        let (entries, acks, pos_target, epoch, backups) = {
             let mut guards = self.store.lock_all_for(None);
             let ctrl = self.ctrl.lock();
             if ctrl.sealed {
@@ -753,7 +784,10 @@ impl Master {
             }
             // Merge the per-shard tails into global log order.
             entries.sort_unstable_by_key(|e| e.seq);
-            (entries, self.store.log_head(), epoch, backups)
+            // Acks wait for a round that sends entries.
+            let acks =
+                if entries.is_empty() { Vec::new() } else { self.rifl.lock().take_moved_acks() };
+            (entries, acks, self.store.log_head(), epoch, backups)
         };
 
         if !entries.is_empty() {
@@ -762,7 +796,12 @@ impl Master {
                 let calls = backups.iter().map(|&b| {
                     self.rpc.call(
                         b,
-                        Request::BackupSync { master_id: self.id, epoch, entries: entries.clone() },
+                        Request::BackupSync {
+                            master_id: self.id,
+                            epoch,
+                            entries: entries.clone(),
+                            acks: acks.clone(),
+                        },
                     )
                 });
                 let results = join_all(calls).await;
@@ -783,6 +822,7 @@ impl Master {
                 }
                 attempt += 1;
                 if attempt >= self.cfg.sync_retry_limit {
+                    self.rifl.lock().requeue_acks(&acks);
                     return false;
                 }
                 tokio::time::sleep(self.cfg.sync_retry_backoff).await;

@@ -585,6 +585,84 @@ async fn pipelined_completions_survive_master_crash_recovery() {
     }
 }
 
+#[tokio::test(start_paused = true)]
+async fn backups_drop_acknowledged_completion_records() {
+    let cfg = MasterConfig::default();
+    let batch = cfg.batch_size as u64;
+    let cluster = TestCluster::new(3, cfg).await;
+    let client = Arc::new(cluster.client().await);
+    let pipe_cfg = PipelineConfig::default();
+    let window = pipe_cfg.window as u64;
+    let pipe = PipelinedClient::new(Arc::clone(&client), pipe_cfg);
+    let writes = 5_000;
+    let mut completions = Vec::new();
+    for i in 0..writes {
+        completions.push(pipe.submit(put(&format!("w{i}"), "v")).await.unwrap());
+    }
+    for c in completions {
+        c.await.unwrap();
+    }
+    // Let the interval syncer flush the tail.
+    tokio::time::sleep(Duration::from_millis(20)).await;
+    for s in 2..=4 {
+        let backup = cluster.server(s).backup();
+        assert_eq!(backup.next_seq(cluster.master_id), Some(writes));
+        let records = backup.footprint(cluster.master_id).unwrap().rifl_records;
+        // What is left is what the client had not acknowledged when the
+        // last round was cut: at most one round plus one window.
+        assert!(
+            records <= batch + window,
+            "backup s{s} holds {records} completion records after {writes} writes"
+        );
+    }
+}
+
+#[tokio::test(start_paused = true)]
+async fn recovery_from_acked_backups_keeps_exactly_once() {
+    let cluster = TestCluster::new(3, lazy_cfg()).await;
+    let client = cluster.client().await;
+    // Rpcs 1..=3; rpc 3 carries the client's ack of 1 and 2.
+    for n in 1..=3 {
+        let r = client.update(Op::Incr { key: b("ctr"), delta: 1 }).await.unwrap();
+        assert_eq!(r, OpResult::Counter(n));
+    }
+    let master = cluster.server(1).master().unwrap();
+    assert!(master.sync().await);
+    for s in 2..=4 {
+        let footprint = cluster.server(s).backup().footprint(cluster.master_id).unwrap();
+        assert_eq!(footprint.rifl_records, 1, "s{s} kept the records of acked rpcs");
+    }
+    // The sync also collected the witnesses' records: recovery restores
+    // from the backups alone.
+    cluster.net.crash(ServerId(1));
+    master.seal();
+    let new_srv = cluster.servers.last().unwrap().id();
+    cluster.coord.recover_master(cluster.master_id, new_srv).await.unwrap();
+
+    let cfg = cluster.coord.config();
+    let part = &cfg.partitions[0];
+    let retry = |seq: u64| {
+        cluster.net.client(ServerId(503)).call(
+            part.master,
+            Request::ClientUpdate {
+                rpc_id: RpcId::new(curp_proto::types::ClientId(1), seq),
+                first_incomplete: 0,
+                witness_list_version: part.witness_list_version,
+                op: Op::Incr { key: b("ctr"), delta: 1 },
+            },
+        )
+    };
+    // An acked rpc is stale: refused, not re-executed.
+    let rsp = retry(1).await.unwrap();
+    assert!(matches!(rsp, Response::Retry { .. }), "acked rpc 1 answered {rsp:?}");
+    // The un-acked rpc answers from its completion record.
+    match retry(3).await.unwrap() {
+        Response::Update { result, .. } => assert_eq!(result, OpResult::Counter(3)),
+        other => panic!("un-acked rpc 3 answered {other:?}"),
+    }
+    assert_eq!(client.read(get("ctr")).await.unwrap(), OpResult::Value(Some(b("3"))));
+}
+
 // ---- one client path ----------------------------------------------------------
 
 fn load(counter: &std::sync::atomic::AtomicU64) -> u64 {

@@ -39,7 +39,8 @@ fn synced_entries_survive_service_restart() {
     {
         let bs = BackupService::durable(dir.path()).unwrap();
         assert!(bs.is_durable());
-        let next = applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1), entry(1, "b", "2", 1)]));
+        let next =
+            applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1), entry(1, "b", "2", 1)], &[]));
         assert_eq!(next, 2);
     }
     // Cold restart: a fresh service over the same directory replays the AOF.
@@ -56,7 +57,7 @@ fn ack_implies_entries_are_on_disk() {
     // memory) immediately after the ack and reload from disk alone.
     let dir = TempDir::new("curp-durability-write-ahead").unwrap();
     let bs = BackupService::durable(dir.path()).unwrap();
-    applied(bs.sync(M, Epoch(1), &[entry(0, "k", "v", 1)]));
+    applied(bs.sync(M, Epoch(1), &[entry(0, "k", "v", 1)], &[]));
     let loaded = Aof::load(&dir.path().join("master-1.aof")).unwrap();
     assert_eq!(loaded.records.len(), 1, "ack preceded the AOF write");
     assert_eq!(loaded.records[0], entry(0, "k", "v", 1));
@@ -69,10 +70,10 @@ fn buffered_out_of_order_entries_are_not_persisted_early() {
     {
         let bs = BackupService::durable(dir.path()).unwrap();
         // seq 1 arrives first: buffered, applied nowhere, persisted nowhere.
-        applied(bs.sync(M, Epoch(1), &[entry(1, "b", "2", 1)]));
+        applied(bs.sync(M, Epoch(1), &[entry(1, "b", "2", 1)], &[]));
         assert!(Aof::load(&dir.path().join("master-1.aof")).unwrap().records.is_empty());
         // seq 0 fills the gap: both go to disk in seq order, one batch.
-        let next = applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1)]));
+        let next = applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1)], &[]));
         assert_eq!(next, 2);
     }
     let loaded = Aof::load(&dir.path().join("master-1.aof")).unwrap();
@@ -88,9 +89,9 @@ fn duplicate_resend_is_not_appended_twice() {
     let dir = TempDir::new("curp-durability-dup").unwrap();
     {
         let bs = BackupService::durable(dir.path()).unwrap();
-        applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1)]));
+        applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1)], &[]));
         // Retried sync re-sends entry 0 alongside entry 1.
-        applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1), entry(1, "a", "2", 2)]));
+        applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1), entry(1, "a", "2", 2)], &[]));
     }
     let loaded = Aof::load(&dir.path().join("master-1.aof")).unwrap();
     assert_eq!(loaded.records.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
@@ -114,7 +115,7 @@ fn install_persists_snapshot_and_later_syncs_extend_it() {
         let bs = BackupService::durable(dir.path()).unwrap();
         assert!(bs.install(M, Epoch(3), blob_next, &snap).unwrap());
         // The replica continues from the snapshot's next_seq.
-        let next = applied(bs.sync(M, Epoch(3), &[entry(5, "after", "x", 1)]));
+        let next = applied(bs.sync(M, Epoch(3), &[entry(5, "after", "x", 1)], &[]));
         assert_eq!(next, 6);
     }
     let bs = BackupService::durable(dir.path()).unwrap();
@@ -122,7 +123,10 @@ fn install_persists_snapshot_and_later_syncs_extend_it() {
     assert_eq!(bs.read(M, &Op::Get { key: b("base") }), Some(OpResult::Value(Some(b("snap")))));
     assert_eq!(bs.read(M, &Op::Get { key: b("after") }), Some(OpResult::Value(Some(b("x")))));
     // The persisted epoch still fences the pre-install incarnation.
-    assert!(matches!(bs.sync(M, Epoch(2), &[entry(6, "z", "z", 1)]), SyncOutcome::Fenced { .. }));
+    assert!(matches!(
+        bs.sync(M, Epoch(2), &[entry(6, "z", "z", 1)], &[]),
+        SyncOutcome::Fenced { .. }
+    ));
 }
 
 #[test]
@@ -130,7 +134,7 @@ fn torn_aof_tail_is_dropped_on_restore() {
     let dir = TempDir::new("curp-durability-torn").unwrap();
     {
         let bs = BackupService::durable(dir.path()).unwrap();
-        applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1), entry(1, "b", "2", 1)]));
+        applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1), entry(1, "b", "2", 1)], &[]));
     }
     // Power fails mid-append of a *third* entry: tear the file.
     let path = dir.path().join("master-1.aof");
@@ -150,7 +154,7 @@ fn torn_aof_tail_is_dropped_on_restore() {
     // syncing new entries appends to the file, and if the tear were still
     // on disk the new frames would hide behind its stale length prefix and
     // poison this second restart.
-    applied(bs.sync(M, Epoch(1), &[entry(2, "c", "3", 1), entry(3, "d", "4", 1)]));
+    applied(bs.sync(M, Epoch(1), &[entry(2, "c", "3", 1), entry(3, "d", "4", 1)], &[]));
     drop(bs);
     let bs = BackupService::durable(dir.path()).unwrap();
     assert_eq!(bs.next_seq(M), Some(4), "entries appended after a tear must survive");
@@ -162,20 +166,26 @@ fn torn_aof_tail_is_dropped_on_restore() {
 fn dropped_replica_keeps_its_fence_and_loses_its_data() {
     let dir = TempDir::new("curp-durability-tombstone").unwrap();
     let bs = BackupService::durable(dir.path()).unwrap();
-    applied(bs.sync(M, Epoch(4), &[entry(0, "a", "1", 1)]));
+    applied(bs.sync(M, Epoch(4), &[entry(0, "a", "1", 1)], &[]));
     assert!(dir.path().join("master-1.aof").exists());
 
     bs.drop_replica(M);
     assert!(!dir.path().join("master-1.aof").exists(), "the AOF must be deleted");
     // The fencing epoch survives the drop: a zombie of the dead incarnation
     // is still rejected (§4.7)…
-    assert!(matches!(bs.sync(M, Epoch(3), &[entry(0, "a", "1", 1)]), SyncOutcome::Fenced { .. }));
+    assert!(matches!(
+        bs.sync(M, Epoch(3), &[entry(0, "a", "1", 1)], &[]),
+        SyncOutcome::Fenced { .. }
+    ));
     // …including across this backup's own restart: the tombstone persists
     // the epoch as an empty snapshot, so the zombie stays fenced while the
     // data stays gone.
     drop(bs);
     let bs = BackupService::durable(dir.path()).unwrap();
-    assert!(matches!(bs.sync(M, Epoch(3), &[entry(0, "a", "1", 1)]), SyncOutcome::Fenced { .. }));
+    assert!(matches!(
+        bs.sync(M, Epoch(3), &[entry(0, "a", "1", 1)], &[]),
+        SyncOutcome::Fenced { .. }
+    ));
     assert_eq!(bs.next_seq(M), Some(0), "tombstone carries no data");
     assert_eq!(bs.read(M, &Op::Get { key: b("a") }), Some(OpResult::Value(None)));
 }
@@ -191,7 +201,7 @@ fn set_epoch_fence_survives_backup_restart() {
     let dir = TempDir::new("curp-durability-fence").unwrap();
     {
         let bs = BackupService::durable(dir.path()).unwrap();
-        applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1)]));
+        applied(bs.sync(M, Epoch(1), &[entry(0, "a", "1", 1)], &[]));
         // Coordinator fences ahead of recovery (§4.7 step 0)…
         bs.set_epoch(M, Epoch(7));
         // …and this backup dies before the recovery install reaches it.
@@ -199,11 +209,11 @@ fn set_epoch_fence_survives_backup_restart() {
     let bs = BackupService::durable(dir.path()).unwrap();
     assert_eq!(bs.next_seq(M), Some(1), "data must survive alongside the fence");
     assert!(
-        matches!(bs.sync(M, Epoch(1), &[entry(1, "a", "2", 2)]), SyncOutcome::Fenced { .. }),
+        matches!(bs.sync(M, Epoch(1), &[entry(1, "a", "2", 2)], &[]), SyncOutcome::Fenced { .. }),
         "zombie sync re-admitted: the fence did not survive the restart"
     );
     // The recovered successor (fenced epoch or later) still syncs fine.
-    applied(bs.sync(M, Epoch(7), &[entry(1, "a", "2", 2)]));
+    applied(bs.sync(M, Epoch(7), &[entry(1, "a", "2", 2)], &[]));
 }
 
 #[test]
@@ -217,7 +227,7 @@ fn fence_without_any_sync_survives_restart() {
     }
     let bs = BackupService::durable(dir.path()).unwrap();
     assert!(
-        matches!(bs.sync(M, Epoch(2), &[entry(0, "a", "1", 1)]), SyncOutcome::Fenced { .. }),
+        matches!(bs.sync(M, Epoch(2), &[entry(0, "a", "1", 1)], &[]), SyncOutcome::Fenced { .. }),
         "bare fence lost across restart"
     );
 }

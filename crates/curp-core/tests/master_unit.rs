@@ -2,12 +2,13 @@
 //! in-process loopback transport (no coordinator, no client library): every
 //! path of `handle_update`/`handle_read` and the sync/gc machinery.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use curp_core::backup::BackupService;
-use curp_core::master::{Master, MasterConfig, MasterSeed};
+use curp_core::master::{Master, MasterConfig, MasterSeed, Replication};
 use curp_core::snapshot::Snapshot;
 use curp_proto::cluster::HashRange;
 use curp_proto::message::{RecordedRequest, Request, Response};
@@ -25,11 +26,13 @@ const WLV: WitnessListVersion = WitnessListVersion(1);
 
 /// Loopback transport: routes master-originated RPCs straight into local
 /// backup/witness services, keeping every `BackupInstall` blob it carries
-/// (the exact bytes a recovered master exported).
+/// (the exact bytes a recovered master exported). While `backup_down` is
+/// set, the backup is unreachable.
 struct Loopback {
     backup: Arc<BackupService>,
     witness: Arc<WitnessService>,
     installs: Arc<parking_lot::Mutex<Vec<Bytes>>>,
+    backup_down: AtomicBool,
 }
 
 impl RpcClient for Loopback {
@@ -43,8 +46,12 @@ impl RpcClient for Loopback {
         if let Request::BackupInstall { snapshot, .. } = &req {
             self.installs.lock().push(snapshot.clone());
         }
+        let backup_down = self.backup_down.load(Ordering::Relaxed);
         Box::pin(async move {
             Ok(match to {
+                BACKUP if backup_down => {
+                    return Err(curp_transport::RpcError::Unreachable { to: BACKUP })
+                }
                 BACKUP => backup.handle_request(&req),
                 WITNESS => witness.handle_request(&req),
                 other => return Err(curp_transport::RpcError::Unreachable { to: other }),
@@ -78,6 +85,7 @@ fn rig(cfg: MasterConfig) -> Rig {
         backup: Arc::clone(&backup),
         witness: Arc::clone(&witness),
         installs: Default::default(),
+        backup_down: AtomicBool::new(false),
     });
     let master = Master::new(seed(M), cfg, Arc::clone(&rpc) as Arc<dyn RpcClient>);
     witness.start(M);
@@ -168,7 +176,12 @@ async fn not_owner_outside_range() {
             range: HashRange { start: 10, end: 11 },
         },
         lazy(),
-        Arc::new(Loopback { backup, witness, installs: Default::default() }),
+        Arc::new(Loopback {
+            backup,
+            witness,
+            installs: Default::default(),
+            backup_down: AtomicBool::new(false),
+        }),
     );
     let rsp = master
         .handle_update(rid(1, 1), 0, WLV, Op::Put { key: b("anything"), value: b("v") })
@@ -310,6 +323,91 @@ async fn client_expiry_syncs_first() {
     assert!(matches!(rsp, Response::Retry { .. }));
 }
 
+/// An update from client `c` that piggybacks the ack watermark `fi`.
+async fn put_acking(r: &Rig, c: u64, seq: u64, fi: u64, key: &str) -> Response {
+    r.master.handle_update(rid(c, seq), fi, WLV, Op::Put { key: b(key), value: b("v") }).await
+}
+
+fn backup_records(r: &Rig) -> u64 {
+    r.backup.footprint(M).expect("replica exists").rifl_records
+}
+
+#[tokio::test]
+async fn acks_ride_the_next_sync_round_to_the_backups() {
+    let r = rig(lazy());
+    put_acking(&r, 1, 1, 1, "a").await;
+    put_acking(&r, 1, 2, 1, "b").await;
+    assert!(r.master.sync().await);
+    assert_eq!(backup_records(&r), 2, "nothing acknowledged yet");
+    // Seq 3 acknowledges 1 and 2: the round that carries it drops them.
+    put_acking(&r, 1, 3, 3, "c").await;
+    assert!(r.master.sync().await);
+    assert_eq!(backup_records(&r), 1);
+    // A lease expiry leaves the backups' table with the next round.
+    assert_eq!(r.master.handle_client_expired(ClientId(1)).await, Response::ClientExpiredAck);
+    put_acking(&r, 2, 1, 1, "d").await;
+    assert!(r.master.sync().await);
+    assert_eq!(backup_records(&r), 1, "only client 2's record is left");
+    let (_, snap) = r.backup.fetch(M);
+    let table = curp_rifl::RiflTable::import(snap.rifl);
+    assert_eq!(table.check(rid(1, 3)), curp_rifl::CheckResult::Stale);
+    assert_eq!(table.check(rid(1, 9)), curp_rifl::CheckResult::Stale);
+}
+
+#[tokio::test]
+async fn acks_of_a_failed_round_go_with_the_next_one() {
+    let cfg = MasterConfig {
+        sync_retry_limit: 1,
+        sync_retry_backoff: Duration::from_millis(1),
+        ..lazy()
+    };
+    let r = rig(cfg);
+    put_acking(&r, 1, 1, 1, "a").await;
+    assert!(r.master.sync().await);
+    put_acking(&r, 1, 2, 2, "b").await;
+    r.rpc.backup_down.store(true, Ordering::Relaxed);
+    assert!(!r.master.sync().await);
+    r.rpc.backup_down.store(false, Ordering::Relaxed);
+    assert!(r.master.sync().await);
+    assert_eq!(backup_records(&r), 1, "the retried round carried the ack of seq 1");
+}
+
+#[tokio::test]
+async fn per_request_replication_carries_acks() {
+    let r = rig(MasterConfig { replication: Replication::PerRequest, ..lazy() });
+    put_acking(&r, 1, 1, 1, "a").await;
+    put_acking(&r, 1, 2, 2, "b").await;
+    assert_eq!(r.backup.next_seq(M), Some(2));
+    assert_eq!(backup_records(&r), 1);
+}
+
+#[tokio::test(start_paused = true)]
+async fn notify_woken_rounds_share_one_interval_timer() {
+    let r = rig(MasterConfig { batch_size: 1, hotkey_sync: false, ..lazy() });
+    let _syncer = r.master.spawn_syncer();
+    tokio::task::yield_now().await; // the syncer arms its interval timer
+    let before = tokio::runtime::metrics();
+    let rounds = 20;
+    for i in 0..rounds {
+        // A full batch notifies the syncer. Its round commits while we
+        // yield, and the syncer goes back to waiting before the next put.
+        put(&r, rid(1, i + 1), &format!("k{i}"), "v").await;
+        for _ in 0..100 {
+            if r.master.pending_len() == 0 {
+                break;
+            }
+            tokio::task::yield_now().await;
+        }
+        assert_eq!(r.master.pending_len(), 0, "round {i} did not run");
+        for _ in 0..10 {
+            tokio::task::yield_now().await;
+        }
+    }
+    assert_eq!(r.backup.next_seq(M), Some(rounds));
+    let armed = (tokio::runtime::metrics() - before).timers_armed;
+    assert!(armed <= 1, "{rounds} notify-woken rounds armed {armed} timers");
+}
+
 #[tokio::test]
 async fn witness_list_install_requires_newer_version() {
     let r = rig(lazy());
@@ -416,7 +514,12 @@ async fn unreachable_backup_fails_sync_but_keeps_pending() {
             sync_retry_backoff: Duration::from_millis(1),
             ..lazy()
         },
-        Arc::new(Loopback { backup, witness, installs: Default::default() }),
+        Arc::new(Loopback {
+            backup,
+            witness,
+            installs: Default::default(),
+            backup_down: AtomicBool::new(false),
+        }),
     );
     let rsp = master.handle_update(rid(1, 1), 0, WLV, Op::Put { key: b("k"), value: b("v") }).await;
     // Speculative response still works...

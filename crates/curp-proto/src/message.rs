@@ -195,6 +195,11 @@ pub enum Request {
         /// Entries in execution order; `entries[0].seq` equals the backup's
         /// expected next sequence number.
         entries: Vec<LogEntry>,
+        /// RIFL ack watermarks `(client, first_incomplete)` that moved on
+        /// the master since its last successful round: the client holds
+        /// every result below the watermark, so the backup drops those
+        /// completion records too (§4.8).
+        acks: Vec<(ClientId, u64)>,
     },
     /// Recovery restore: fetch the backup's entire replicated log (§3.3).
     BackupFetch {
@@ -453,11 +458,12 @@ impl Encode for Request {
                 buf.put_u8(REQ_W_END);
                 master_id.encode(buf);
             }
-            Request::BackupSync { master_id, epoch, entries } => {
+            Request::BackupSync { master_id, epoch, entries, acks } => {
                 buf.put_u8(REQ_B_SYNC);
                 master_id.encode(buf);
                 epoch.encode(buf);
                 encode_seq(entries, buf);
+                encode_seq(acks, buf);
             }
             Request::BackupFetch { master_id } => {
                 buf.put_u8(REQ_B_FETCH);
@@ -519,8 +525,11 @@ impl Encode for Request {
             }
             Request::WitnessGetRecoveryData { master_id } => master_id.encoded_len(),
             Request::WitnessStart { master_id } => master_id.encoded_len(),
-            Request::BackupSync { master_id, epoch, entries } => {
-                master_id.encoded_len() + epoch.encoded_len() + seq_encoded_len(entries)
+            Request::BackupSync { master_id, epoch, entries, acks } => {
+                master_id.encoded_len()
+                    + epoch.encoded_len()
+                    + seq_encoded_len(entries)
+                    + seq_encoded_len(acks)
             }
             Request::BackupFetch { master_id } => master_id.encoded_len(),
             Request::BackupSetEpoch { master_id, epoch } => {
@@ -567,6 +576,7 @@ impl Decode for Request {
                 master_id: MasterId::decode(buf)?,
                 epoch: Epoch::decode(buf)?,
                 entries: decode_seq(buf)?,
+                acks: decode_seq(buf)?,
             },
             REQ_B_FETCH => Request::BackupFetch { master_id: MasterId::decode(buf)? },
             REQ_B_EPOCH => Request::BackupSetEpoch {
@@ -859,6 +869,7 @@ mod tests {
                     op: Op::Delete { key: b("k") },
                     result: OpResult::Written { version: 8 },
                 }],
+                acks: vec![(ClientId(1), 2), (ClientId(4), u64::MAX)],
             },
             Request::BackupFetch { master_id: MasterId(3) },
             Request::BackupSetEpoch { master_id: MasterId(3), epoch: Epoch(5) },

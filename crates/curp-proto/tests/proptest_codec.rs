@@ -88,13 +88,18 @@ fn arb_request() -> impl Strategy<Value = Request> {
         any::<u64>().prop_map(|m| Request::WitnessGetRecoveryData { master_id: MasterId(m) }),
         any::<u64>().prop_map(|m| Request::WitnessStart { master_id: MasterId(m) }),
         any::<u64>().prop_map(|m| Request::WitnessEnd { master_id: MasterId(m) }),
-        (any::<u64>(), any::<u64>(), prop::collection::vec(arb_log_entry(), 0..4)).prop_map(
-            |(m, e, entries)| Request::BackupSync {
+        (
+            any::<u64>(),
+            any::<u64>(),
+            prop::collection::vec(arb_log_entry(), 0..4),
+            prop::collection::vec((any::<u64>(), any::<u64>()), 0..4)
+        )
+            .prop_map(|(m, e, entries, acks)| Request::BackupSync {
                 master_id: MasterId(m),
                 epoch: Epoch(e),
-                entries
-            }
-        ),
+                entries,
+                acks: acks.into_iter().map(|(c, fi)| (ClientId(c), fi)).collect(),
+            }),
         any::<u64>().prop_map(|m| Request::BackupFetch { master_id: MasterId(m) }),
         (any::<u64>(), any::<u64>(), any::<u64>(), arb_bytes()).prop_map(|(m, e, n, sn)| {
             Request::BackupInstall {

@@ -30,6 +30,8 @@ struct ClientRecords {
     first_incomplete: u64,
     /// Completion records for non-acknowledged RPCs, by sequence number.
     records: BTreeMap<u64, OpResult>,
+    /// Whether this client is listed in [`RiflTable::moved`].
+    moved: bool,
 }
 
 /// The per-master RIFL state.
@@ -44,6 +46,12 @@ pub struct RiflTable {
     /// replays arrive in arbitrary order, and an ack carried by a later RPC
     /// must not suppress the replay of an earlier one.
     recovery_mode: bool,
+    /// Clients whose watermark rose since the last [`take_moved_acks`]
+    /// (each listed once), so a master's sync round carries only the acks
+    /// that are news to its backups. Bounded by the number of clients.
+    ///
+    /// [`take_moved_acks`]: RiflTable::take_moved_acks
+    moved: Vec<ClientId>,
 }
 
 impl RiflTable {
@@ -76,13 +84,20 @@ impl RiflTable {
         }
     }
 
-    /// Records the completion of `id` with `result`.
+    /// Records the completion of `id` with `result`. A record below the
+    /// client's watermark is not kept: the client already acknowledged it
+    /// (a backup can apply an entry after the ack that covers it, e.g. from
+    /// a reordered per-request batch), and [`check`](Self::check) answers
+    /// [`CheckResult::Stale`] for it either way.
     ///
     /// # Panics
     /// Panics if the id is already recorded with a *different* result —
     /// that would mean non-deterministic re-execution, a protocol bug.
     pub fn record(&mut self, id: RpcId, result: OpResult) {
         let client = self.clients.entry(id.client).or_default();
+        if id.seq < client.first_incomplete {
+            return;
+        }
         if let Some(prev) = client.records.get(&id.seq) {
             assert_eq!(prev, &result, "conflicting completion records for {id}");
             return;
@@ -103,6 +118,39 @@ impl RiflTable {
         }
         client.first_incomplete = first_incomplete;
         client.records = client.records.split_off(&first_incomplete);
+        Self::mark_moved(&mut self.moved, client_id, client);
+    }
+
+    fn mark_moved(moved: &mut Vec<ClientId>, id: ClientId, client: &mut ClientRecords) {
+        if !client.moved {
+            client.moved = true;
+            moved.push(id);
+        }
+    }
+
+    /// The current watermark of every client whose watermark rose since
+    /// the last call, then forgets them: a master sends these to its
+    /// backups with the round's entries. Hand them back with
+    /// [`requeue_acks`](Self::requeue_acks) if the round fails.
+    pub fn take_moved_acks(&mut self) -> Vec<(ClientId, u64)> {
+        let mut acks = Vec::with_capacity(self.moved.len());
+        for id in self.moved.drain(..) {
+            if let Some(client) = self.clients.get_mut(&id) {
+                client.moved = false;
+                acks.push((id, client.first_incomplete));
+            }
+        }
+        acks
+    }
+
+    /// Lists the clients of `acks` as moved again (their round did not
+    /// reach every backup); the next take reads their watermarks afresh.
+    pub fn requeue_acks(&mut self, acks: &[(ClientId, u64)]) {
+        for &(id, _) in acks {
+            if let Some(client) = self.clients.get_mut(&id) {
+                Self::mark_moved(&mut self.moved, id, client);
+            }
+        }
     }
 
     /// Discards all records of an expired client (§4.8). The caller (the
@@ -113,6 +161,7 @@ impl RiflTable {
         let client = self.clients.entry(client_id).or_default();
         client.first_incomplete = u64::MAX;
         client.records.clear();
+        Self::mark_moved(&mut self.moved, client_id, client);
     }
 
     /// Rebuilds the table from a replicated operation log (recovery restore).
@@ -151,7 +200,11 @@ impl RiflTable {
         for (id, first_incomplete, records) in data {
             table.clients.insert(
                 id,
-                ClientRecords { first_incomplete, records: records.into_iter().collect() },
+                ClientRecords {
+                    first_incomplete,
+                    records: records.into_iter().collect(),
+                    moved: false,
+                },
             );
         }
         table
@@ -233,6 +286,39 @@ mod tests {
         assert_eq!(t.record_count(), 0);
         assert_eq!(t.check(rid(1, 1)), CheckResult::Stale);
         assert_eq!(t.check(rid(1, 99)), CheckResult::Stale);
+    }
+
+    #[test]
+    fn moved_acks_are_taken_once_and_requeued_on_failure() {
+        let mut t = RiflTable::new();
+        t.ack(ClientId(1), 3);
+        t.ack(ClientId(2), 5);
+        t.ack(ClientId(1), 4); // moves again before the take: listed once
+        t.ack(ClientId(2), 5); // no rise: not news
+        let mut acks = t.take_moved_acks();
+        acks.sort();
+        assert_eq!(acks, vec![(ClientId(1), 4), (ClientId(2), 5)]);
+        assert!(t.take_moved_acks().is_empty(), "a take forgets what it returned");
+        // A failed round hands its acks back; the next take reads the
+        // watermark as it is by then.
+        t.requeue_acks(&acks);
+        t.ack(ClientId(1), 9);
+        let mut again = t.take_moved_acks();
+        again.sort();
+        assert_eq!(again, vec![(ClientId(1), 9), (ClientId(2), 5)]);
+        t.expire_client(ClientId(3));
+        assert_eq!(t.take_moved_acks(), vec![(ClientId(3), u64::MAX)]);
+    }
+
+    #[test]
+    fn record_below_the_watermark_is_not_kept() {
+        let mut t = RiflTable::new();
+        t.ack(ClientId(1), 4);
+        t.record(rid(1, 2), written(2)); // applied after the ack covering it
+        assert_eq!(t.record_count(), 0);
+        assert_eq!(t.check(rid(1, 2)), CheckResult::Stale);
+        t.record(rid(1, 4), written(4));
+        assert_eq!(t.check(rid(1, 4)), CheckResult::Duplicate(written(4)));
     }
 
     #[test]

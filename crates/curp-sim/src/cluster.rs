@@ -1088,7 +1088,7 @@ mod tests {
             let backup = cluster.server(b).unwrap().backup();
             assert_eq!(backup.next_seq(mid), Some(seq_before), "synced data lost in restart");
             assert!(
-                matches!(backup.sync(mid, Epoch(1), &[]), SyncOutcome::Fenced { .. }),
+                matches!(backup.sync(mid, Epoch(1), &[], &[]), SyncOutcome::Fenced { .. }),
                 "zombie sync accepted: the fence did not survive the crash-restart"
             );
         });

@@ -35,6 +35,28 @@ pub enum Value {
     Set(HashSet<Bytes>),
 }
 
+impl Value {
+    /// This value with its bytes copied out of the buffers they were
+    /// decoded from (see [`own`]).
+    fn detached(self) -> Value {
+        match self {
+            Value::Str(s) => Value::Str(own(&s)),
+            Value::Hash(h) => Value::Hash(h.iter().map(|(f, v)| (own(f), own(v))).collect()),
+            Value::Counter(c) => Value::Counter(c),
+            Value::List(l) => Value::List(l.iter().map(own).collect()),
+            Value::Set(s) => Value::Set(s.iter().map(own).collect()),
+        }
+    }
+}
+
+/// A copy of op bytes about to enter long-lived key-space state. Decoding
+/// is zero-copy, so an op's keys and values are windows into the whole
+/// network frame (or log record) they arrived in: stored as they are, one
+/// small value would keep a frame of many entries alive.
+fn own(b: &Bytes) -> Bytes {
+    Bytes::copy_from_slice(b)
+}
+
 /// An object plus its replication metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Object {
@@ -134,7 +156,7 @@ impl KeySpace {
             Op::HSet { key, field, value } => match self.objects.get_mut(key) {
                 Some(obj) => match &mut obj.value {
                     Value::Hash(h) => {
-                        h.insert(field.clone(), value.clone());
+                        h.insert(own(field), own(value));
                         let version = Self::touch_in_place(obj, next_pos());
                         OpResult::Written { version }
                     }
@@ -154,7 +176,7 @@ impl KeySpace {
             Op::ListPush { key, value } => match self.objects.get_mut(key) {
                 Some(obj) => match &mut obj.value {
                     Value::List(l) => {
-                        l.push(value.clone());
+                        l.push(own(value));
                         let len = l.len() as i64;
                         Self::touch_in_place(obj, next_pos());
                         OpResult::Counter(len)
@@ -169,7 +191,7 @@ impl KeySpace {
             Op::SetAdd { key, member } => match self.objects.get_mut(key) {
                 Some(obj) => match &mut obj.value {
                     Value::Set(s) => {
-                        let added = s.insert(member.clone()) as i64;
+                        let added = s.insert(own(member)) as i64;
                         Self::touch_in_place(obj, next_pos());
                         OpResult::Counter(added)
                     }
@@ -196,9 +218,9 @@ impl KeySpace {
     /// returns the (surviving) current version.
     pub(crate) fn delete(&mut self, key: &Bytes, pos: u64) -> u64 {
         if let Some(obj) = self.objects.remove(key) {
-            self.dead_versions.insert(key.clone(), obj.version);
+            self.dead_versions.insert(own(key), obj.version);
         }
-        self.tombstones.insert(key.clone(), pos);
+        self.tombstones.insert(own(key), pos);
         self.current_version(key)
     }
 
@@ -261,10 +283,10 @@ impl KeySpace {
     }
 
     /// Writes `value` at `key` with the next version, drawing the log
-    /// position from `next_pos`.
+    /// position from `next_pos`. The stored bytes are copies (see [`own`]).
     ///
     /// Overwrites mutate the existing entry in place — no key re-clone, no
-    /// hash-map re-insert; only first writes of a key clone it into the map.
+    /// hash-map re-insert; only first writes of a key copy it into the map.
     pub(crate) fn write(
         &mut self,
         key: &Bytes,
@@ -272,6 +294,7 @@ impl KeySpace {
         next_pos: &mut impl FnMut() -> u64,
     ) -> u64 {
         let pos = next_pos();
+        let value = value.detached();
         match self.objects.get_mut(key) {
             Some(obj) => {
                 obj.value = value;
@@ -282,7 +305,7 @@ impl KeySpace {
             None => {
                 let version = self.dead_versions.remove(key).unwrap_or(0) + 1;
                 self.tombstones.remove(key);
-                self.objects.insert(key.clone(), Object { value, version, write_pos: pos });
+                self.objects.insert(own(key), Object { value, version, write_pos: pos });
                 version
             }
         }

@@ -55,7 +55,9 @@ impl Bytes {
 
     /// Creates `Bytes` by copying `slice`.
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        Bytes::from(slice.to_vec())
+        // One allocation: straight into the shared buffer, no staging `Vec`.
+        let data: Arc<[u8]> = Arc::from(slice);
+        Bytes { data: Repr::Shared(data), start: 0, end: slice.len() }
     }
 
     /// Length of the view in bytes.
