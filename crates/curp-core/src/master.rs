@@ -313,15 +313,32 @@ impl Master {
     pub fn spawn_syncer(self: &Arc<Self>) -> tokio::task::JoinHandle<()> {
         let master = Arc::clone(self);
         tokio::spawn(async move {
-            // One interval timer, re-armed only when it fires: a fresh sleep
-            // per round would leave a timer behind for every round a notify
+            // An interval round is due `sync_interval` after the syncer goes
+            // back to waiting. One timer serves that schedule: it is armed
+            // again only after it fired, and one that fires before the
+            // current due time (a notify woke a round since it was armed)
+            // is moved to that time instead of syncing. A fresh sleep per
+            // wait would leave a timer behind for every round a notify
             // woke, each waking the syncer later for nothing.
-            let mut tick = std::pin::pin!(tokio::time::sleep(master.cfg.sync_interval));
+            let interval = master.cfg.sync_interval;
+            let mut tick = std::pin::pin!(tokio::time::sleep(interval));
+            let mut fired = false;
             loop {
-                tokio::select! {
-                    _ = master.sync_notify.notified() => {}
-                    _ = tick.as_mut() => {
-                        tick.set(tokio::time::sleep(master.cfg.sync_interval));
+                let due = tokio::time::Instant::now() + interval;
+                if fired {
+                    tick.set(tokio::time::sleep_until(due));
+                    fired = false;
+                }
+                loop {
+                    tokio::select! {
+                        _ = master.sync_notify.notified() => break,
+                        _ = tick.as_mut() => {
+                            if tokio::time::Instant::now() >= due {
+                                fired = true;
+                                break;
+                            }
+                            tick.set(tokio::time::sleep_until(due));
+                        }
                     }
                 }
                 if master.is_sealed() {
